@@ -86,15 +86,13 @@ class UsageError(Exception):
 
 
 def _load_instance(args):
-    attrs_n = None
-    graph = load_edge_list(args.edges, unweighted_default=args.unweighted)
     # The attribute file fixes n; the edge list may omit trailing isolated
-    # vertices, so reload with the larger count when they disagree.
-    probe = sum(1 for line in open(args.attrs, encoding="utf-8")
-                if line.strip() and not line.lstrip().startswith("#"))
-    if probe > graph.n:
-        graph = load_edge_list(args.edges, unweighted_default=args.unweighted,
-                               n=probe)
+    # vertices, so the graph gets at least as many vertices as it labels.
+    with open(args.attrs, encoding="utf-8") as fh:
+        labeled = sum(1 for line in fh
+                      if line.strip() and not line.lstrip().startswith("#"))
+    graph = load_edge_list(args.edges, unweighted_default=args.unweighted,
+                           n=labeled)
     attr = load_attributes(args.attrs, graph.n)
     return graph, attr
 
@@ -237,6 +235,39 @@ def _bench_worker(payload, conn):
         conn.close()
 
 
+# Seconds one bench run may take before it is killed and recorded as failed.
+_BENCH_RUN_TIMEOUT_S = 3600.0
+
+
+def _run_isolated(ctx, payload, timeout):
+    """Run ``_bench_worker(payload, conn)`` in a fresh process; never hangs.
+
+    Returns the (status, result) pair the worker sent. A worker that exits
+    without sending (killed, crashed, ``os._exit``) or sends nothing within
+    ``timeout`` seconds yields ("error", reason) and is killed if still alive.
+    """
+    parent, child = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_bench_worker, args=(payload, child))
+    proc.start()
+    # Only the worker may hold the sending end, or its death is no EOF here.
+    child.close()
+    with parent:
+        ready = parent.poll(timeout)
+        try:
+            outcome = parent.recv() if ready else None
+        except EOFError:
+            outcome = None
+    proc.join(timeout if ready else 0)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+    if outcome is not None:
+        return outcome
+    if not ready:
+        return "error", f"no result within {timeout:g} s"
+    return "error", f"worker exited with code {proc.exitcode} without a result"
+
+
 def _summarize(records):
     """Per-method mean +/- sample std of normalized value and wall time."""
     summary = {}
@@ -287,11 +318,8 @@ def cmd_bench(args):
                 "lam": args.lam, "max_iters": args.max_iters,
                 "gap_tol": args.gap_tol,
             }
-            parent, child = ctx.Pipe()
-            proc = ctx.Process(target=_bench_worker, args=(payload, child))
-            proc.start()
-            status, result = parent.recv() if parent.poll(None) else ("error", "no result")
-            proc.join()
+            status, result = _run_isolated(ctx, payload,
+                                           _BENCH_RUN_TIMEOUT_S)
             if status == "ok":
                 records.append(result)
             else:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,7 @@ class WeightedGraph:
         """Build a graph from parallel endpoint arrays, one entry per edge.
 
         Rejects self-loops, duplicate edges (in either orientation), and
-        non-positive weights. ``w=None`` means unit weights.
+        non-positive or non-finite weights. ``w=None`` means unit weights.
         """
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
@@ -55,17 +56,16 @@ class WeightedGraph:
             raise ValueError("vertex id out of range")
         if np.any(u == v):
             raise ValueError("self-loops are not allowed")
-        if np.any(w <= 0):
-            raise ValueError("edge weights must be strictly positive")
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        keys = lo * n + hi
-        if len(np.unique(keys)) != len(keys):
-            raise ValueError("duplicate edges are not allowed")
-        rows = np.concatenate([lo, hi])
-        cols = np.concatenate([hi, lo])
+        if not np.all((w > 0) & (w < np.inf)):
+            raise ValueError("edge weights must be finite and strictly positive")
+        rows = np.concatenate([u, v])
+        cols = np.concatenate([v, u])
         data = np.concatenate([w, w])
         adj = sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+        # tocsr sums repeated coordinates, so a duplicate edge (in either
+        # orientation) shows up as missing stored entries.
+        if adj.nnz != len(data):
+            raise ValueError("duplicate edges are not allowed")
         w_max = float(w.max()) if len(w) else 0.0
         return cls(adj=adj, w_max=w_max)
 
@@ -133,10 +133,110 @@ def load_edge_list(path, unweighted_default=False, n=None) -> WeightedGraph:
 
     Each non-comment line is "u v" or "u v w". Missing weights are an error
     unless ``unweighted_default`` is set, in which case they default to 1.
-    A comment of the form "# n <count>" (written by :func:`save_edge_list`)
-    declares the vertex count so isolated trailing vertices survive a
-    round trip; an explicit ``n`` argument takes the same role.
+    Weights must be positive and finite. A comment of the form "# n <count>"
+    (written by :func:`save_edge_list`) declares the vertex count so isolated
+    trailing vertices survive a round trip; an explicit ``n`` argument takes
+    the same role. Comments take a whole line: "#" inside an edge line is an
+    error. Malformed input raises :class:`GraphFormatError` naming the first
+    bad line.
     """
+    graph = _load_edge_list_fast(path, unweighted_default, n)
+    if graph is None:
+        graph = _load_edge_list_reference(path, unweighted_default, n)
+    return graph
+
+
+_EDGE_ROW_DTYPES = {
+    2: np.dtype([("u", np.int64), ("v", np.int64)]),
+    3: np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)]),
+}
+
+# Suffixes np.loadtxt decompresses when it opens a file name.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _loadtxt_rejects_float_ids():
+    """Whether np.loadtxt refuses "1.0" for an integer field, as int() does.
+
+    Some numpy releases read it as 1 with a DeprecationWarning; there the
+    fast path would accept ids the reference rejects, so it stays off.
+    """
+    try:
+        np.loadtxt(["1.0"], dtype=np.int64)
+    except ValueError:
+        return True
+    except Warning:  # the DeprecationWarning, under an "error" filter
+        pass
+    return False
+
+
+_FAST_PATH_AVAILABLE = _loadtxt_rejects_float_ids()
+
+
+def _load_edge_list_fast(path, unweighted_default, n):
+    """Vectorized :func:`load_edge_list`, or None to defer to the reference.
+
+    Covers regular files whose comment and blank lines all precede the first
+    edge line and whose edge lines all have the column count of the first.
+    numpy's C reader parses the rows; ``from_edges`` runs every check on the
+    arrays. Anything either rejects returns None, so that the line loop
+    reports the first bad line with its number and the exact message.
+    """
+    name = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
+    # The file is opened twice, which a pipe does not survive, and loadtxt
+    # picks a decompressor from a name's suffix.
+    if (not _FAST_PATH_AVAILABLE or not isinstance(name, str)
+            or not os.path.isfile(name) or name.endswith(_COMPRESSED_SUFFIXES)):
+        return None
+    declared_n = 0
+    # Same loop as the reference over the leading comment/blank block, so it
+    # raises what the reference would raise there.
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                ncols = len(line.split())
+                break
+            if line:
+                count = _header_count(line, path, lineno)
+                if count is not None:
+                    declared_n = count
+        else:
+            return None
+    if ncols != 3 and not (ncols == 2 and unweighted_default):
+        return None
+    try:
+        # Given a file name (not a buffer), loadtxt reads in large chunks
+        # through a universal-newline text layer, like the reference. An
+        # absolute name is never taken for a URL.
+        rows = np.loadtxt(os.path.abspath(name), dtype=_EDGE_ROW_DTYPES[ncols],
+                          comments=None, skiprows=lineno - 1,
+                          encoding="ascii", ndmin=1)
+    except (ValueError, OSError):
+        return None
+    u, v = rows["u"], rows["v"]
+    w = rows["w"] if ncols == 3 else None
+    n_final = max(int(u.max()) + 1, int(v.max()) + 1, declared_n, n or 0)
+    try:
+        return WeightedGraph.from_edges(n_final, u, v, w)
+    except ValueError:
+        return None
+
+
+def _header_count(comment, path, lineno):
+    """Vertex count of a stripped "# n <count>" comment line, else None."""
+    parts = comment[1:].split()
+    if len(parts) != 2 or parts[0] != "n":
+        return None
+    try:
+        return int(parts[1])
+    except ValueError as exc:
+        raise GraphFormatError(
+            f"{path}:{lineno}: bad vertex count {parts[1]!r}") from exc
+
+
+def _load_edge_list_reference(path, unweighted_default, n):
+    """Line-by-line :func:`load_edge_list`; the reference for the fast path."""
     us, vs, ws = [], [], []
     declared_n = 0
     seen = {}
@@ -146,9 +246,9 @@ def load_edge_list(path, unweighted_default=False, n=None) -> WeightedGraph:
             if not line:
                 continue
             if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) == 2 and parts[0] == "n":
-                    declared_n = int(parts[1])
+                count = _header_count(line, path, lineno)
+                if count is not None:
+                    declared_n = count
                 continue
             parts = line.split()
             if len(parts) not in (2, 3):
@@ -175,6 +275,9 @@ def load_edge_list(path, unweighted_default=False, n=None) -> WeightedGraph:
                 raise GraphFormatError(
                     f"{path}:{lineno}: missing weight "
                     "(use unweighted_default to assume 1)")
+            if not math.isfinite(w):
+                raise GraphFormatError(
+                    f"{path}:{lineno}: non-finite weight {w}")
             if w <= 0:
                 raise GraphFormatError(
                     f"{path}:{lineno}: non-positive weight {w}")

@@ -1,8 +1,11 @@
 import csv
 import json
+import os
+import time
 
 import pytest
 
+from vacdks import cli
 from vacdks.cli import main
 
 
@@ -110,6 +113,26 @@ class TestSolve:
         assert len(json.loads(capsys.readouterr().out.strip())["vertices"]) == 9
 
 
+    def test_edge_list_read_once_with_attribute_count(self, tmp_path,
+                                                      monkeypatch, capsys):
+        # vertices 4 and 5 are isolated: only the attribute file lists them
+        (tmp_path / "e.tsv").write_text("0 1 1.0\n1 2 1.0\n0 2 1.0\n2 3 1.0\n")
+        (tmp_path / "a.tsv").write_text(
+            "# vertex group\n" + "".join(f"{v} {v % 2}\n" for v in range(6)))
+        calls = []
+
+        def counting_load(*args, **kwargs):
+            calls.append(kwargs.get("n"))
+            return load(*args, **kwargs)
+
+        load = cli.load_edge_list
+        monkeypatch.setattr(cli, "load_edge_list", counting_load)
+        rc = main(["bound", "--edges", str(tmp_path / "e.tsv"),
+                   "--attrs", str(tmp_path / "a.tsv"), "--k", "2"])
+        assert rc == 0
+        assert calls == [6]
+
+
 class TestBound:
     def test_report_fields(self, instance_dir, capsys):
         rc = main(["bound", "--edges", str(instance_dir / "edges.tsv"),
@@ -150,8 +173,37 @@ class TestBench:
         assert summary["peel"]["std_is_degenerate"]
         assert summary["peel"]["normalized_std"] == 0.0
 
+    @pytest.mark.parametrize("worker, reason", [
+        ("_exit_without_result", "worker exited with code 3 without a result"),
+        ("_hang_without_result", "no result within 2 s"),
+    ])
+    def test_dead_or_hung_worker_is_a_failed_run(self, tmp_path, monkeypatch,
+                                                 worker, reason):
+        monkeypatch.setattr(cli, "_bench_worker", globals()[worker])
+        monkeypatch.setattr(cli, "_BENCH_RUN_TIMEOUT_S", 2.0)
+        out = tmp_path / "bench"
+        start = time.monotonic()
+        rc = main(["bench", "--methods", "peel", "--n", "40", "--p", "0.1",
+                   "--k", "4", "--r", "2", "--seeds", "2", "--out", str(out)])
+        assert rc == 0
+        assert time.monotonic() - start < 60
+        with open(out / "runs.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["error"] for r in rows] == [reason, reason]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["peel"]["runs"] == summary["peel"]["failures"] == 2
+
     def test_unknown_method_exit_1(self, tmp_path):
         rc = main(["bench", "--methods", "nope", "--n", "40", "--p", "0.1",
                    "--k", "4", "--r", "2", "--seeds", "1",
                    "--out", str(tmp_path / "x")])
         assert rc == 1
+
+
+# Bench workers for the spawn context: module-level so the child can import them.
+def _exit_without_result(payload, conn):
+    os._exit(3)
+
+
+def _hang_without_result(payload, conn):
+    time.sleep(120)

@@ -62,6 +62,24 @@ class TestLoadEdgeList:
         g = load_edge_list(write(tmp_path, "# a comment\n\n0 1 1.0\n"))
         assert g.m == 1
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_weight(self, tmp_path, weight):
+        with pytest.raises(GraphFormatError, match=":2: non-finite weight"):
+            load_edge_list(write(tmp_path, f"0 1 1.0\n1 2 {weight}\n"))
+
+    def test_bad_vertex_count_header(self, tmp_path):
+        with pytest.raises(GraphFormatError, match=":2: bad vertex count 'abc'"):
+            load_edge_list(write(tmp_path, "# a comment\n# n abc\n0 1 1.0\n"))
+
+    def test_inline_comment_rejected(self, tmp_path):
+        with pytest.raises(GraphFormatError, match=":1: expected 'u v'"):
+            load_edge_list(write(tmp_path, "0 1 1.0 # heavy\n"))
+
+    def test_header_declares_isolated_vertices(self, tmp_path):
+        g = load_edge_list(write(tmp_path, "# n 7\r\n0 1 1.0\r\n"))
+        assert (g.n, g.m) == (7, 1)
+        assert load_edge_list(write(tmp_path, "0 1 1.0\n"), n=5).n == 5
+
 
 class TestLoadAttributes:
     def test_basic_partition(self, tmp_path):
@@ -200,3 +218,9 @@ def test_from_edges_rejects_bad_input():
         WeightedGraph.from_edges(3, [0], [1], [-1.0])
     with pytest.raises(ValueError, match="range"):
         WeightedGraph.from_edges(3, [0], [5])
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+def test_from_edges_rejects_non_finite_weight(weight):
+    with pytest.raises(ValueError, match="finite"):
+        WeightedGraph.from_edges(3, [0, 1], [1, 2], [1.0, weight])
