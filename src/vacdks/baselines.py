@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import heapq
 import math
 from itertools import combinations
 
@@ -12,125 +11,44 @@ from .constraints import ConstraintSpec, lmo, validate
 from .graph import WeightedGraph, induced_weight
 from .spectral import dominant_eigenpair
 
-# Above this vertex count the peeling loop switches from a lazy heap to a
-# vectorized argmin scan (identical output, much faster in numpy).
-_HEAP_LIMIT = 3000
-
 BRUTE_FORCE_LIMIT = 10**7
 
 
-# Group counts only shrink during peeling, so once a group hits its minimum
-# its surviving members can never be removed again; all three peeling
-# implementations below exploit this to skip frozen groups permanently.
-
-
 def _peel_argmin(graph, spec):
-    """Peeling via full argmin scans; O(n^2) but vectorized."""
-    n = graph.n
-    labels = spec.attr.labels
-    mins = np.asarray(spec.mins, dtype=np.int64)
-    counts = np.array([len(g) for g in spec.attr.groups], dtype=np.int64)
-    key = np.asarray(graph.adj.sum(axis=1)).ravel().astype(np.float64)
-    alive = np.ones(n, dtype=bool)
-    for i in range(spec.attr.r):
-        if counts[i] <= mins[i]:
-            key[spec.attr.groups[i]] = np.inf
-    indptr, indices, data = graph.adj.indptr, graph.adj.indices, graph.adj.data
-    for _ in range(n - spec.k):
-        v = int(np.argmin(key))
-        if not np.isfinite(key[v]):
-            raise AssertionError("no removable vertex before reaching size k")
-        alive[v] = False
-        key[v] = np.inf
-        nbrs = indices[indptr[v]:indptr[v + 1]]
-        key[nbrs] -= data[indptr[v]:indptr[v + 1]]
-        g = labels[v]
-        counts[g] -= 1
-        if counts[g] == mins[g]:
-            members = spec.attr.groups[g]
-            key[members[alive[members]]] = np.inf
-    return np.flatnonzero(alive)
+    """Peeling via vectorized argmin scans over a float key per vertex.
 
-
-def _peel_heap(graph, spec):
-    """Peeling via a lazy-deletion binary min-heap keyed by (degree, id)."""
-    n = graph.n
-    labels = spec.attr.labels
+    The key is a vertex's weighted degree among survivors, or inf once it is
+    removed or its group is frozen. Group counts only shrink, so a group that
+    reaches its minimum never loses a member again: its members' keys stay
+    inf, and ``argmin`` (first minimum, hence the lower id on ties) only ever
+    picks removable vertices.
+    """
+    adj = graph.adj
+    # Memoryviews give Python ints per index, as fast as a list and with
+    # no copy of the arrays.
+    indptr, labels = memoryview(adj.indptr), memoryview(spec.attr.labels)
+    indices, data = adj.indices, adj.data
+    groups = spec.attr.groups
     mins = list(spec.mins)
-    counts = [len(g) for g in spec.attr.groups]
-    deg = np.asarray(graph.adj.sum(axis=1)).ravel().astype(np.float64)
-    alive = np.ones(n, dtype=bool)
-    frozen = [counts[i] <= mins[i] for i in range(spec.attr.r)]
-    heap = [(deg[v], v) for v in range(n)]
-    heapq.heapify(heap)
-    indptr, indices, data = graph.adj.indptr, graph.adj.indices, graph.adj.data
-    remaining = n
-    while remaining > spec.k:
-        if not heap:
+    counts = [len(members) for members in groups]
+    key = np.asarray(adj.sum(axis=1)).ravel().astype(np.float64)
+    for g, members in enumerate(groups):
+        if counts[g] <= mins[g]:
+            key[members] = np.inf
+    alive = np.ones(graph.n, dtype=bool)
+    argmin, inf = key.argmin, np.inf
+    for _ in range(graph.n - spec.k):
+        v = int(argmin())
+        if key[v] == inf:
             raise AssertionError("no removable vertex before reaching size k")
-        d, v = heapq.heappop(heap)
-        if not alive[v] or d != deg[v] or frozen[labels[v]]:
-            continue
         alive[v] = False
-        remaining -= 1
+        key[v] = inf
+        lo, hi = indptr[v], indptr[v + 1]
+        key[indices[lo:hi]] -= data[lo:hi]
         g = labels[v]
         counts[g] -= 1
         if counts[g] == mins[g]:
-            frozen[g] = True
-        for u, w in zip(indices[indptr[v]:indptr[v + 1]],
-                        data[indptr[v]:indptr[v + 1]]):
-            if alive[u]:
-                deg[u] -= w
-                if not frozen[labels[u]]:
-                    heapq.heappush(heap, (deg[u], u))
-    return np.flatnonzero(alive)
-
-
-def _peel_bucket(graph, spec):
-    """Peeling via a bucket queue over integer degrees (unweighted graphs)."""
-    if not graph.is_unweighted():
-        raise ValueError("bucket peeling requires unit edge weights")
-    n = graph.n
-    labels = spec.attr.labels
-    mins = list(spec.mins)
-    counts = [len(g) for g in spec.attr.groups]
-    deg = np.asarray(graph.adj.sum(axis=1)).ravel().astype(np.int64)
-    alive = np.ones(n, dtype=bool)
-    frozen = [counts[i] <= mins[i] for i in range(spec.attr.r)]
-    max_deg = int(deg.max()) if n else 0
-    buckets = [[] for _ in range(max_deg + 1)]
-    for v in range(n):
-        heapq.heappush(buckets[deg[v]], v)
-    indptr, indices = graph.adj.indptr, graph.adj.indices
-    cur = 0
-    remaining = n
-    while remaining > spec.k:
-        while cur <= max_deg:
-            found = None
-            while buckets[cur]:
-                v = buckets[cur][0]
-                if alive[v] and deg[v] == cur and not frozen[labels[v]]:
-                    found = v
-                    break
-                heapq.heappop(buckets[cur])
-            if found is not None:
-                break
-            cur += 1
-        if cur > max_deg:
-            raise AssertionError("no removable vertex before reaching size k")
-        v = heapq.heappop(buckets[cur])
-        alive[v] = False
-        remaining -= 1
-        g = labels[v]
-        counts[g] -= 1
-        if counts[g] == mins[g]:
-            frozen[g] = True
-        for u in indices[indptr[v]:indptr[v + 1]]:
-            if alive[u]:
-                deg[u] -= 1
-                if not frozen[labels[u]]:
-                    heapq.heappush(buckets[deg[u]], int(u))
-        cur = max(0, cur - 1)
+            key[groups[g]] = inf
     return np.flatnonzero(alive)
 
 
@@ -142,11 +60,7 @@ def greedy_peel(graph: WeightedGraph, spec: ConstraintSpec) -> np.ndarray:
     always a feasible set of size k.
     """
     validate(spec, graph)
-    if graph.n > _HEAP_LIMIT:
-        return _peel_argmin(graph, spec)
-    if graph.is_unweighted():
-        return _peel_bucket(graph, spec)
-    return _peel_heap(graph, spec)
+    return _peel_argmin(graph, spec)
 
 
 def lrbo_rank1(graph: WeightedGraph, spec: ConstraintSpec,

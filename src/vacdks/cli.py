@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import multiprocessing
 import sys
@@ -88,12 +89,14 @@ class UsageError(Exception):
 def _load_instance(args):
     # The attribute file fixes n; the edge list may omit trailing isolated
     # vertices, so the graph gets at least as many vertices as it labels.
+    # It is read once, so that it may be a pipe.
     with open(args.attrs, encoding="utf-8") as fh:
-        labeled = sum(1 for line in fh
-                      if line.strip() and not line.lstrip().startswith("#"))
+        text = fh.read()
+    labeled = sum(1 for line in io.StringIO(text)
+                  if line.strip() and not line.lstrip().startswith("#"))
     graph = load_edge_list(args.edges, unweighted_default=args.unweighted,
                            n=labeled)
-    attr = load_attributes(args.attrs, graph.n)
+    attr = load_attributes(args.attrs, graph.n, text=text)
     return graph, attr
 
 

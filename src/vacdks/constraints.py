@@ -80,6 +80,8 @@ def check_fractional(spec: ConstraintSpec, x) -> None:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (spec.n,):
         raise ConstraintError(f"point has shape {x.shape}, expected ({spec.n},)")
+    if not np.isfinite(x).all():
+        raise ConstraintError("point has a non-finite entry")
     if x.min() < -BOX_TOL or x.max() > 1.0 + BOX_TOL:
         raise ConstraintError("point leaves the unit box")
     total = x.sum()

@@ -13,7 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import ConstraintSpec, check_fractional, lmo, round_to_integral, validate
+from .constraints import (
+    ConstraintSpec,
+    check_fractional,
+    init_uniform,
+    lmo,
+    round_to_integral,
+    validate,
+)
 from .graph import WeightedGraph
 from .spectral import power_iteration
 
@@ -26,7 +33,7 @@ L_INFLATION = 1.01
 class FwConfig:
     """Solver knobs. ``lam=None`` resolves to w_max at solve time."""
 
-    lam: float = None
+    lam: float | None = None
     max_iters: int = 500
     gap_tol: float = 1e-6
     power_iters: int = 100
@@ -85,8 +92,6 @@ def solve_fw(graph: WeightedGraph, spec: ConstraintSpec, cfg: FwConfig = None,
     ``selected`` is the sorted vertex array obtained by rounding the final
     iterate. Deterministic given inputs.
     """
-    from .constraints import init_uniform
-
     cfg = cfg or FwConfig()
     validate(spec, graph)
     lam = cfg.lam if cfg.lam is not None else graph.w_max

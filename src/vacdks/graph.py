@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import math
 import os
 from dataclasses import dataclass
@@ -304,15 +305,18 @@ def save_edge_list(graph: WeightedGraph, path) -> None:
             fh.write(f"{a} {b} {c!r}\n")
 
 
-def load_attributes(path, n) -> AttributeAssignment:
+def load_attributes(path, n, *, text=None) -> AttributeAssignment:
     """Parse a "vertex group" file into a partition of [0, n).
 
     Group indices are densified to 0..r-1 in first-seen order. Every vertex
-    must be labeled exactly once.
+    must be labeled exactly once. ``text``, if given, is the file's content
+    already read (a pipe can be read only once); ``path`` then only names
+    the file in error messages.
     """
     labels = np.full(n, -1, dtype=np.int64)
     remap = {}
-    with open(path, encoding="utf-8") as fh:
+    with (open(path, encoding="utf-8") if text is None
+          else io.StringIO(text)) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, example, given, settings
+from hypothesis import strategies as st
 
 from vacdks import (
     AttributeAssignment,
@@ -13,7 +15,6 @@ from vacdks import (
     is_feasible_binary,
     lrbo_rank1,
 )
-from vacdks.baselines import _peel_argmin, _peel_bucket, _peel_heap
 
 from conftest import enumerate_feasible, random_graph, random_spec
 
@@ -35,6 +36,49 @@ def peel_reference(graph, spec):
         for u in alive:
             deg[u] -= adj[best, u]
     return np.array(sorted(alive))
+
+
+def _instance(n, edges, weights, labels, k, mins):
+    graph = WeightedGraph.from_edges(n, [a for a, _ in edges],
+                                     [b for _, b in edges], weights)
+    attr = AttributeAssignment.from_labels(np.array(labels, dtype=np.int64),
+                                           r=len(mins))
+    return graph, ConstraintSpec(k=k, mins=tuple(mins), attr=attr)
+
+
+@st.composite
+def peel_instances(draw):
+    """A small graph of one weight kind and a spec over a random partition.
+
+    Integer weights in {1, 2, 3} make degree ties common. Each group's
+    minimum is 0, its largest allowed value (the group is frozen from the
+    start when that is all of it) or anything in between.
+    """
+    n = draw(st.integers(min_value=1, max_value=16))
+    kind = draw(st.sampled_from(["unweighted", "integer", "float"]))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    edges = [pair for pair, kept in zip(pairs, keep) if kept]
+    weights = None
+    if kind != "unweighted":
+        weight = (st.integers(min_value=1, max_value=3).map(float)
+                  if kind == "integer"
+                  else st.floats(min_value=0.01, max_value=100.0))
+        weights = draw(st.lists(weight, min_size=len(edges),
+                                max_size=len(edges)))
+    r = draw(st.integers(min_value=1, max_value=min(3, n)))
+    labels = draw(st.lists(st.integers(min_value=0, max_value=r - 1),
+                           min_size=n, max_size=n))
+    k = draw(st.integers(min_value=1, max_value=n))
+    mins, budget = [], k
+    for i in range(r):
+        cap = min(labels.count(i), budget)
+        ki = draw(st.one_of(st.just(0), st.just(cap),
+                            st.integers(min_value=0, max_value=cap)))
+        mins.append(ki)
+        budget -= ki
+    return _instance(n, edges, weights, labels, k, mins)
 
 
 class TestGreedyPeel:
@@ -62,23 +106,29 @@ class TestGreedyPeel:
             np.testing.assert_array_equal(greedy_peel(g, spec),
                                           peel_reference(g, spec))
 
-    def test_implementations_agree(self, rng):
-        for _ in range(25):
-            n = int(rng.integers(5, 40))
-            spec = random_spec(rng, n)
-            gw = random_graph(rng, n)
-            a = _peel_argmin(gw, spec)
-            np.testing.assert_array_equal(a, _peel_heap(gw, spec))
-            gu = random_graph(rng, n, weighted=False)
-            np.testing.assert_array_equal(_peel_argmin(gu, spec),
-                                          _peel_bucket(gu, spec))
-
-    def test_bucket_rejects_weighted(self, rng):
-        g = random_graph(rng, 6, min_edges=1)
-        if g.is_unweighted():  # pragma: no cover - weights are in (0.05, 1)
-            pytest.skip("generator produced unit weights")
-        with pytest.raises(ValueError, match="unit edge weights"):
-            _peel_bucket(g, random_spec(rng, 6))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(peel_instances())
+    # group 1 ({4}) frozen from the start
+    @example(_instance(5, [(0, 1), (1, 2), (2, 3)], None, [0, 0, 0, 0, 1],
+                       3, [0, 1]))
+    # group 0 freezes after two removals; ties among integer weights
+    @example(_instance(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 5)],
+                       [2.0, 1.0, 1.0, 2.0, 1.0], [0, 0, 0, 0, 1, 1], 3, [2, 0]))
+    # k = n: nothing is removed
+    @example(_instance(4, [(0, 1)], [0.5], [0, 1, 0, 1], 4, [1, 1]))
+    def test_matches_reference_property(self, instance):
+        graph, spec = instance
+        sel = greedy_peel(graph, spec)
+        np.testing.assert_array_equal(sel, peel_reference(graph, spec))
+        kept = np.bincount(spec.attr.labels[sel], minlength=spec.attr.r)
+        for ki, members, c in zip(spec.mins, spec.attr.groups, kept):
+            if ki and len(members) == ki:
+                event("group frozen from the start")
+            elif ki and c == ki:
+                event("group frozen mid-run")
+        if spec.k == graph.n:
+            event("k = n")
 
     def test_tie_break_lower_id(self):
         # path 0-1-2-3: degrees 1,2,2,1; with no minimums the first removal

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import threading
 import time
 
 import pytest
@@ -142,6 +143,38 @@ class TestBound:
         rep = json.loads(capsys.readouterr().out.strip())
         assert 0.0 < rep["bound"] <= 1.0
         assert rep["sigma1"] >= rep["sigma2"] >= 0.0
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_attribute_pipe_is_read_once(self, tmp_path, capsys):
+        """A pipe can be read only once, as with ``--attrs <(...)``."""
+        edges = tmp_path / "e.tsv"
+        edges.write_text("0 1 1.0\n1 2 1.0\n0 2 1.0\n2 3 1.0\n")
+        text = "".join(f"{v} {v % 2}\n" for v in range(4))
+        plain = tmp_path / "a.tsv"
+        plain.write_text(text)
+        pipe = tmp_path / "a.pipe"
+        os.mkfifo(pipe)
+        args = ["bound", "--edges", str(edges), "--k", "2", "--attrs"]
+        result = {}
+
+        def run():
+            result["rc"] = main(args + [str(pipe)])
+
+        reader = threading.Thread(target=run, daemon=True)
+        reader.start()
+        with open(pipe, "w") as fh:
+            fh.write(text)
+        reader.join(timeout=30)
+        # A loader that reopens the pipe waits for a writer: give it empty ones.
+        for _ in range(3):
+            if not reader.is_alive():
+                break
+            open(pipe, "w").close()
+            reader.join(timeout=5)
+        piped = capsys.readouterr()
+        assert result.get("rc") == 0, piped.err
+        assert main(args + [str(plain)]) == 0
+        assert json.loads(piped.out) == json.loads(capsys.readouterr().out)
 
 
 class TestBench:

@@ -87,6 +87,18 @@ class TestFeasibility:
         with pytest.raises(ConstraintError, match="group 0"):
             check_fractional(self.spec, np.array([0.25, 0.25, 1, 1, 0.5]))
 
+    @pytest.mark.parametrize("point", [
+        [np.nan] * 5,
+        [0.5, 0.5, 1, 0.5, np.nan],
+        [0.5, 0.5, 1, np.inf, 0.5],
+        [0.5, 0.5, -np.inf, 0.5, 0.5],
+    ], ids=["all_nan", "one_nan", "inf", "neg_inf"])
+    def test_fractional_non_finite(self, point):
+        # NaN fails every comparison, so only an explicit check catches it
+        with pytest.raises(ConstraintError, match="non-finite"):
+            check_fractional(self.spec, np.array(point))
+        assert not is_feasible_fractional(self.spec, np.array(point))
+
 
 class TestInitUniform:
     def test_example_distribution(self):
@@ -184,6 +196,15 @@ class TestRounding:
         x = init_uniform(spec)
         with pytest.raises(ConstraintError, match="diagonal loading"):
             round_to_integral(g, spec, g.w_max * 0.5, x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_point(self, rng, bad):
+        g = random_graph(rng, 6, min_edges=1)
+        spec = random_spec(rng, 6)
+        x = init_uniform(spec)
+        x[int(rng.integers(6))] = bad
+        with pytest.raises(ConstraintError, match="non-finite"):
+            round_to_integral(g, spec, g.w_max, x)
 
     def test_uniform_start_on_triangle_plus_isolated(self):
         g = WeightedGraph.from_edges(5, [0, 1, 0], [1, 2, 2])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vacdks import (
+    ConstraintError,
     FwConfig,
     PlantedCliqueConfig,
     brute_force,
@@ -87,6 +88,17 @@ class TestSolveFw:
         _, sel, trace = solve_fw(g, spec, x0=x0)
         assert trace.objective[0] == pytest.approx(dense_g(g, g.w_max, x0))
         assert is_feasible_binary(spec, sel)
+
+    def test_rejects_nan_start_point(self, rng):
+        # formerly an AssertionError deep inside rounding
+        g = random_graph(rng, 10, min_edges=1)
+        spec = random_spec(rng, 10, k_min=2)
+        with pytest.raises(ConstraintError, match="non-finite"):
+            solve_fw(g, spec, x0=np.full(10, np.nan))
+        x0 = random_fractional(rng, spec)
+        x0[3] = np.nan
+        with pytest.raises(ConstraintError, match="non-finite"):
+            solve_fw(g, spec, x0=x0)
 
     def test_deterministic(self, rng):
         g = random_graph(rng, 30, min_edges=1)
