@@ -63,8 +63,7 @@ def greedy_peel(graph: WeightedGraph, spec: ConstraintSpec) -> np.ndarray:
     return _peel_argmin(graph, spec)
 
 
-def lrbo_rank1(graph: WeightedGraph, spec: ConstraintSpec,
-               power_iters=1000, power_tol=1e-8, seed=0):
+def lrbo_rank1(graph: WeightedGraph, spec: ConstraintSpec):
     """Rank-1 low-rank bilinear optimization baseline.
 
     Replaces A by its dominant spectral component v1 u1^T (u1 = eig1 * v1)
@@ -76,8 +75,19 @@ def lrbo_rank1(graph: WeightedGraph, spec: ConstraintSpec,
     validate(spec, graph)
     if graph.m == 0:
         raise ValueError("LRBO requires a graph with at least one edge")
-    eig1, v1, _ = dominant_eigenpair(graph.adj, graph.w_max,
-                                     power_iters, power_tol, seed)
+    eig1, v1, _ = dominant_eigenpair(graph.adj, graph.w_max)
+    candidates = _bilinear_candidates(spec, eig1, v1)
+    best_x, best_y, bilinear_value = max(candidates, key=lambda c: c[2])
+    # Collapse the pair to one reported subgraph: the x candidate with the
+    # larger induced weight (the bilinear optimum itself is a pair).
+    sets = [np.flatnonzero(c[0] > 0.5) for c in candidates]
+    weights = [induced_weight(graph, s) for s in sets]
+    selected = sets[int(np.argmax(weights))]
+    return selected, (best_x, best_y), bilinear_value
+
+
+def _bilinear_candidates(spec, eig1, v1):
+    """Rank-1 LRBO's two sign candidates (x, y, x^T v1 u1^T y)."""
     u1 = eig1 * v1
     candidates = []
     for sign in (1.0, -1.0):
@@ -86,13 +96,7 @@ def lrbo_rank1(graph: WeightedGraph, spec: ConstraintSpec,
         y = lmo(spec, np.sign(eig1 * cx) * u1 if eig1 * cx != 0 else u1)
         value = cx * float(u1 @ y)
         candidates.append((x, y, value))
-    best_x, best_y, bilinear_value = max(candidates, key=lambda c: c[2])
-    # Collapse the pair to one reported subgraph: the x candidate with the
-    # larger induced weight (the bilinear optimum itself is a pair).
-    sets = [np.flatnonzero(c[0] > 0.5) for c in candidates]
-    weights = [induced_weight(graph, s) for s in sets]
-    selected = sets[int(np.argmax(weights))]
-    return selected, (best_x, best_y), bilinear_value
+    return candidates
 
 
 def brute_force(graph: WeightedGraph, spec: ConstraintSpec):

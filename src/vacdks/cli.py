@@ -23,6 +23,7 @@ from .fw import FwConfig, solve_fw
 from .graph import (
     PlantedCliqueConfig,
     generate_planted_clique,
+    induced_weight,
     load_attributes,
     load_edge_list,
     save_attributes,
@@ -67,6 +68,14 @@ def _add_solver_flags(p):
                    help="diagonal loading (default: w_max)")
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--gap-tol", type=float, default=1e-6)
+
+
+def _fw_config(args):
+    try:
+        return FwConfig(lam=args.lam, max_iters=args.max_iters,
+                        gap_tol=args.gap_tol)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _resolve_mins(args, r):
@@ -124,8 +133,6 @@ def _run_method(method, graph, spec, fw_cfg):
 
 def _make_record(method, instance, spec, seed, graph, sel, iterations,
                  wall_seconds, planted=None):
-    from .graph import induced_weight
-
     if not is_feasible_binary(spec, sel):
         raise RuntimeError(f"{method} produced an infeasible selection")
     objective = induced_weight(graph, sel)
@@ -176,12 +183,11 @@ def cmd_generate(args):
 
 
 def cmd_solve(args):
+    fw_cfg = _fw_config(args)
     graph, attr = _load_instance(args)
     mins = _resolve_mins(args, attr.r)
     spec = ConstraintSpec(k=args.k, mins=mins, attr=attr)
     validate(spec, graph)
-    fw_cfg = FwConfig(lam=args.lam, max_iters=args.max_iters,
-                      gap_tol=args.gap_tol)
     planted = None
     if args.planted:
         with open(args.planted, encoding="utf-8") as fh:
@@ -217,9 +223,7 @@ def _bench_run(payload):
     graph, attr, planted = generate_planted_clique(cfg)
     spec = ConstraintSpec(k=payload["k"], mins=tuple(payload["mins"]), attr=attr)
     validate(spec, graph)
-    fw_cfg = FwConfig(lam=payload.get("lam"),
-                      max_iters=payload.get("max_iters", 500),
-                      gap_tol=payload.get("gap_tol", 1e-6))
+    fw_cfg = payload["fw_cfg"]
     method = payload["method"]
     _run_method(method, graph, spec, fw_cfg)  # warm-up, untimed
     start = time.perf_counter()
@@ -308,6 +312,7 @@ def cmd_bench(args):
         PlantedCliqueConfig(**base, seed=0)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    fw_cfg = _fw_config(args)
     mins = _resolve_mins(args, args.r)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -317,9 +322,7 @@ def cmd_bench(args):
         for seed in range(args.seeds):
             payload = {
                 "method": method, "k": args.k, "mins": list(mins),
-                "generator": {**base, "seed": seed},
-                "lam": args.lam, "max_iters": args.max_iters,
-                "gap_tol": args.gap_tol,
+                "generator": {**base, "seed": seed}, "fw_cfg": fw_cfg,
             }
             status, result = _run_isolated(ctx, payload,
                                            _BENCH_RUN_TIMEOUT_S)

@@ -8,6 +8,8 @@ L bounds the spectral norm of A + lam*I.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -22,7 +24,7 @@ from .constraints import (
     validate,
 )
 from .graph import WeightedGraph
-from .spectral import power_iteration
+from .spectral import dominant_eigenpair
 
 # Safety factor applied to the power-method estimate so the step rule's
 # ascent guarantee survives eigenvalue underestimation.
@@ -36,16 +38,16 @@ class FwConfig:
     lam: float | None = None
     max_iters: int = 500
     gap_tol: float = 1e-6
-    power_iters: int = 100
-    power_tol: float = 1e-7
 
     def __post_init__(self):
-        if self.lam is not None and self.lam < 0:
-            raise ValueError("lam must be non-negative")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.gap_tol <= 0 or self.power_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.lam is not None and not (math.isfinite(self.lam)
+                                         and self.lam >= 0):
+            raise ValueError("lam must be finite and non-negative")
+        if not (isinstance(self.max_iters, numbers.Integral)
+                and self.max_iters >= 1):
+            raise ValueError("max_iters must be an integer of at least 1")
+        if not (math.isfinite(self.gap_tol) and self.gap_tol > 0):
+            raise ValueError("gap_tol must be finite and positive")
 
 
 @dataclass
@@ -66,21 +68,15 @@ def objective_g(graph: WeightedGraph, lam, x) -> float:
     return float(x @ (graph.adj @ x) + lam * (x @ x))
 
 
-def lipschitz_estimate(graph: WeightedGraph, lam, power_iters=100,
-                       power_tol=1e-7, seed=0) -> float:
+def lipschitz_estimate(graph: WeightedGraph, lam) -> float:
     """Inflated power-method estimate of ||A + lam*I||_2.
 
     The adjacency is entrywise non-negative, so the spectral norm equals the
-    top eigenvalue of A plus lam and plain power iteration suffices.
+    top eigenvalue of A plus lam; the eigenvalue comes from
+    ``dominant_eigenpair``, which warns if it did not converge.
     """
-    if graph.m == 0:
-        return L_INFLATION * lam
-
-    def matvec(v):
-        return graph.adj @ v + lam * v
-
-    ray, _, _ = power_iteration(matvec, graph.n, power_iters, power_tol, seed)
-    return L_INFLATION * max(ray, lam)
+    eig1, _, _ = dominant_eigenpair(graph.adj, graph.w_max)
+    return L_INFLATION * max(eig1 + lam, lam)
 
 
 def solve_fw(graph: WeightedGraph, spec: ConstraintSpec, cfg: FwConfig = None,
@@ -100,7 +96,7 @@ def solve_fw(graph: WeightedGraph, spec: ConstraintSpec, cfg: FwConfig = None,
     check_fractional(spec, x0)
 
     start = time.perf_counter()
-    L = lipschitz_estimate(graph, lam, cfg.power_iters, cfg.power_tol)
+    L = lipschitz_estimate(graph, lam)
     x = np.asarray(x0, dtype=np.float64).copy()
     trace = FwTrace()
     for _ in range(cfg.max_iters):

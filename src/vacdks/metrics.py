@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .baselines import lrbo_rank1
+from .baselines import _bilinear_candidates
 from .constraints import ConstraintSpec, validate
 from .graph import AttributeAssignment, WeightedGraph, induced_weight
 from .spectral import dominant_eigenpair, second_singular_value
@@ -31,17 +31,7 @@ class BoundReport:
     power_residual: float
 
     def to_dict(self):
-        return {
-            "term_trivial": self.term_trivial,
-            "term_rank1": self.term_rank1,
-            "term_sigma1": self.term_sigma1,
-            "bound": self.bound,
-            "sigma1": self.sigma1,
-            "sigma2": self.sigma2,
-            "bilinear_value": self.bilinear_value,
-            "degenerate_spectrum": self.degenerate_spectrum,
-            "power_residual": self.power_residual,
-        }
+        return asdict(self)
 
 
 def normalized_edge_weight(graph: WeightedGraph, s) -> float:
@@ -69,13 +59,13 @@ def recovery_check(planted, s) -> bool:
     return set(int(v) for v in planted) == set(int(v) for v in s)
 
 
-def upper_bound(graph: WeightedGraph, spec: ConstraintSpec,
-                power_iters=1000, power_tol=1e-7, seed=0) -> BoundReport:
+def upper_bound(graph: WeightedGraph, spec: ConstraintSpec) -> BoundReport:
     """Upper bound on the optimal normalized edge weight.
 
     min of: the trivial bound 1; the rank-1 bilinear value plus a sigma_2
     correction; and sigma_1 / (w_max (k-1)). Computed on A itself; the
-    diagonal loading is a solver device and does not enter the bound.
+    diagonal loading is a solver device and does not enter the bound. One
+    dominant eigenpair serves sigma_1, sigma_2 and the bilinear value.
     """
     validate(spec, graph)
     k = spec.k
@@ -85,15 +75,13 @@ def upper_bound(graph: WeightedGraph, spec: ConstraintSpec,
         return BoundReport(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, False, 0.0)
 
     w_max = graph.w_max
-    eig1, v1, residual = dominant_eigenpair(
-        graph.adj, w_max, power_iters, power_tol, seed)
+    eig1, v1, residual = dominant_eigenpair(graph.adj, w_max)
     sigma1 = abs(eig1)
-    sigma2, _ = second_singular_value(
-        graph.adj, sigma1, v1, power_iters, power_tol, seed + 1)
+    sigma2 = second_singular_value(graph.adj, eig1, v1)
     degenerate = (sigma1 - sigma2) < DEGENERATE_GAP * max(sigma1, 1e-300)
     sigma2_eff = sigma2 + DEGENERATE_GAP * sigma1 if degenerate else sigma2
 
-    _, _, bilinear_value = lrbo_rank1(graph, spec, power_iters, seed=seed)
+    bilinear_value = max(c[2] for c in _bilinear_candidates(spec, eig1, v1))
     term_trivial = 1.0
     term_rank1 = (bilinear_value / (w_max * k * (k - 1))
                   + sigma2_eff / (w_max * (k - 1)))

@@ -7,8 +7,7 @@ import warnings
 import numpy as np
 
 
-def power_iteration(matvec, n, max_iters=100, tol=1e-7, seed=0,
-                    stop="rayleigh"):
+def power_iteration(matvec, n, max_iters, tol, seed=0, stop="rayleigh"):
     """Estimate the dominant Rayleigh quotient of a symmetric operator.
 
     Iterates v <- matvec(v) from a seeded random unit start. With
@@ -41,47 +40,50 @@ def power_iteration(matvec, n, max_iters=100, tol=1e-7, seed=0,
     return ray, v, residual
 
 
-def dominant_eigenpair(adj, w_max, max_iters=1000, tol=1e-8, seed=0):
+# Iteration budget and tolerance of the dominant-eigenpair loop (residual
+# rule) and of the sigma_2 loop (Rayleigh rule).
+EIG_MAX_ITERS, EIG_TOL = 10_000, 1e-8
+SIGMA2_MAX_ITERS, SIGMA2_TOL = 1000, 1e-7
+
+
+def dominant_eigenpair(adj, w_max):
     """Largest-magnitude eigenpair of a non-negative symmetric sparse matrix.
 
     For such matrices the spectral radius equals the top eigenvalue, so the
     iteration runs on the shifted operator A + w_max*I, whose top eigenvalue
-    is strictly dominant in magnitude even for bipartite graphs. Falls back
-    to a 10x longer run before warning about non-convergence.
+    is strictly dominant in magnitude even for bipartite graphs. Warns when
+    the residual is still above ``EIG_TOL`` after ``EIG_MAX_ITERS`` steps.
+    Returns (eigenvalue, unit_vector, residual).
     """
     shift = max(w_max, 1e-12)
 
     def shifted(v):
         return adj @ v + shift * v
 
-    n = adj.shape[0]
-    for budget in (max_iters, 10 * max_iters):
-        ray, vec, residual = power_iteration(shifted, n, budget, tol, seed,
-                                             stop="residual")
-        if residual <= tol * max(abs(ray), 1.0):
-            return ray - shift, vec, residual
-    warnings.warn(
-        f"power iteration residual {residual:.3e} after {10 * max_iters} "
-        "iterations; eigenpair estimate may be inaccurate",
-        RuntimeWarning, stacklevel=2)
+    ray, vec, residual = power_iteration(shifted, adj.shape[0], EIG_MAX_ITERS,
+                                         EIG_TOL, seed=0, stop="residual")
+    if residual > EIG_TOL * max(abs(ray), 1.0):
+        warnings.warn(
+            f"power iteration residual {residual:.3e} after {EIG_MAX_ITERS} "
+            "iterations; eigenpair estimate may be inaccurate",
+            RuntimeWarning, stacklevel=2)
     return ray - shift, vec, residual
 
 
-def second_singular_value(adj, sigma1, v1, max_iters=1000, tol=1e-7, seed=1):
+def second_singular_value(adj, eig1, v1):
     """Second-largest singular value via single deflation.
 
-    Deflates the dominant eigenpair and power-iterates on the squared
-    deflated operator (symmetric PSD, so no sign oscillation); the square
-    root of its Rayleigh quotient is sigma_2.
+    Deflates the dominant eigenpair (signed eigenvalue ``eig1``, unit vector
+    ``v1``) and power-iterates on the squared deflated operator (symmetric
+    PSD, so no sign oscillation); the square root of its Rayleigh quotient
+    is sigma_2.
     """
-    eig1 = sigma1 if float(v1 @ (adj @ v1)) >= 0 else -sigma1
-
     def deflated(v):
         return adj @ v - eig1 * v1 * (v1 @ v)
 
     def squared(v):
         return deflated(deflated(v))
 
-    ray, _, _ = power_iteration(squared, adj.shape[0], max_iters, tol, seed,
-                                stop="rayleigh")
-    return float(np.sqrt(max(ray, 0.0))), ray
+    ray, _, _ = power_iteration(squared, adj.shape[0], SIGMA2_MAX_ITERS,
+                                SIGMA2_TOL, seed=1, stop="rayleigh")
+    return float(np.sqrt(max(ray, 0.0)))

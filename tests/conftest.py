@@ -20,6 +20,13 @@ def random_graph(rng, n, weighted=True, p=0.5, min_edges=0):
     return WeightedGraph.from_edges(n, u, v, w)
 
 
+def two_triangles():
+    """Two disjoint triangles with weights 1 and 1 - 1e-5: top eigenvalues
+    2 and 2 - 2e-5, too close for power iteration to separate."""
+    return WeightedGraph.from_edges(6, [0, 0, 1, 3, 3, 4], [1, 2, 2, 4, 5, 5],
+                                    [1.0] * 3 + [1.0 - 1e-5] * 3)
+
+
 def random_spec(rng, n, r_max=3, k_min=1, k_max=None):
     """Random partition into at most r_max groups plus a valid spec."""
     r = int(rng.integers(1, min(r_max, n) + 1))

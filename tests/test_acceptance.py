@@ -304,8 +304,7 @@ def _peel_unconstrained(graph, k):
 
 def _lrbo_unconstrained(graph, k):
     a = graph.adj.toarray()
-    eig1, v1, _ = dominant_eigenpair(graph.adj, graph.w_max,
-                                     max_iters=1000, tol=1e-8, seed=0)
+    eig1, v1, _ = dominant_eigenpair(graph.adj, graph.w_max)
     best = None
     for sign in (1.0, -1.0):
         xs = _top_k(sign * v1, k)

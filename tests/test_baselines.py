@@ -205,8 +205,7 @@ class TestLrbo:
     def test_bilinear_value_matches_rank1_form(self, rng):
         g = random_graph(rng, 15, min_edges=3)
         spec = random_spec(rng, 15, k_min=2)
-        sel, (x_cand, y_cand), bil = lrbo_rank1(g, spec, power_iters=5000,
-                                                power_tol=1e-12)
+        sel, (x_cand, y_cand), bil = lrbo_rank1(g, spec)
         x_idx = np.flatnonzero(x_cand > 0.5)
         y_idx = np.flatnonzero(y_cand > 0.5)
         dense = g.adj.toarray()

@@ -19,6 +19,17 @@ def instance_dir(tmp_path):
     return out
 
 
+# Solver flag values FwConfig rejects; each must exit 1 before any solve.
+BAD_SOLVER_FLAGS = [
+    ("--lambda", "-1"),
+    ("--lambda", "nan"),
+    ("--lambda", "inf"),
+    ("--max-iters", "0"),
+    ("--gap-tol", "0"),
+    ("--gap-tol", "nan"),
+]
+
+
 def solve_args(inst, method, *extra):
     return ["solve", method, "--edges", str(inst / "edges.tsv"),
             "--attrs", str(inst / "attrs.tsv"), "--k", "9",
@@ -106,6 +117,12 @@ class TestSolve:
         with pytest.raises(SystemExit) as exc:
             main(solve_args(instance_dir, "magic"))
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("flags", BAD_SOLVER_FLAGS, ids="=".join)
+    def test_bad_solver_flags_exit_1(self, instance_dir, flags, capsys):
+        rc = main(solve_args(instance_dir, "fw", *flags))
+        assert rc == 1
+        assert capsys.readouterr().out == ""
 
     def test_lambda_flag_accepted(self, instance_dir, capsys):
         rc = main(solve_args(instance_dir, "fw", "--lambda", "2.0",
@@ -230,6 +247,17 @@ class TestBench:
         rc = main(["bench", "--methods", "nope", "--n", "40", "--p", "0.1",
                    "--k", "4", "--r", "2", "--seeds", "1",
                    "--out", str(tmp_path / "x")])
+        assert rc == 1
+
+    @pytest.mark.parametrize("flags", BAD_SOLVER_FLAGS, ids="=".join)
+    def test_bad_solver_flags_exit_1(self, tmp_path, monkeypatch, flags):
+        def no_run(*args):
+            raise AssertionError("a run was started")
+
+        monkeypatch.setattr(cli, "_run_isolated", no_run)
+        rc = main(["bench", "--methods", "fw", "--n", "40", "--p", "0.1",
+                   "--k", "4", "--r", "2", "--seeds", "1",
+                   "--out", str(tmp_path / "x"), *flags])
         assert rc == 1
 
 

@@ -15,7 +15,8 @@ from vacdks import (
 )
 from vacdks.constraints import init_uniform
 
-from conftest import dense_g, random_fractional, random_graph, random_spec
+from conftest import (dense_g, random_fractional, random_graph, random_spec,
+                      two_triangles)
 
 
 class TestConfig:
@@ -30,6 +31,22 @@ class TestConfig:
             FwConfig(max_iters=0)
         with pytest.raises(ValueError):
             FwConfig(gap_tol=0.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"lam": float("nan")},
+        {"lam": float("inf")},
+        {"gap_tol": float("nan")},
+        {"gap_tol": float("inf")},
+        {"max_iters": float("nan")},
+        {"max_iters": 2.5},
+    ], ids=["lam_nan", "lam_inf", "gap_tol_nan", "gap_tol_inf",
+            "max_iters_nan", "max_iters_fractional"])
+    def test_rejects_non_finite_or_fractional_values(self, kwargs):
+        with pytest.raises(ValueError):
+            FwConfig(**kwargs)
+
+    def test_accepts_numpy_integer_max_iters(self):
+        assert FwConfig(max_iters=np.int64(3)).max_iters == 3
 
 
 class TestObjective:
@@ -52,13 +69,19 @@ class TestLipschitz:
         for _ in range(10):
             g = random_graph(rng, 12, min_edges=1)
             lam = g.w_max
-            L = lipschitz_estimate(g, lam, power_iters=2000, power_tol=1e-12)
+            L = lipschitz_estimate(g, lam)
             dense = g.adj.toarray() + lam * np.eye(12)
             assert L >= np.linalg.norm(dense, 2) - 1e-8
 
     def test_edgeless_graph(self, rng):
         g = random_graph(rng, 5, p=0.0)
         assert lipschitz_estimate(g, 2.0) == pytest.approx(1.01 * 2.0)
+
+    def test_warns_when_not_converged(self):
+        g = two_triangles()
+        with pytest.warns(RuntimeWarning, match="power iteration residual"):
+            L = lipschitz_estimate(g, g.w_max)
+        assert L >= 1.01 * 3.0 - 1e-3
 
 
 class TestSolveFw:

@@ -9,13 +9,15 @@ from vacdks import (
     brute_force,
     generate_planted_clique,
     group_proportions,
+    lrbo_rank1,
     normalized_edge_weight,
     recovery_check,
     upper_bound,
 )
+from vacdks import baselines, metrics, spectral
 from vacdks.spectral import dominant_eigenpair, power_iteration, second_singular_value
 
-from conftest import random_graph, random_spec
+from conftest import random_graph, random_spec, two_triangles
 
 
 def complete_graph(k, weight=1.0):
@@ -59,6 +61,19 @@ class TestGroupTools:
         assert not recovery_check(np.array([1, 2]), np.array([1, 2, 3]))
 
 
+def counting(monkeypatch, fn, *modules):
+    """Replace ``fn`` in each module by a wrapper; returns its call list."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, fn.__name__, wrapper)
+    return calls
+
+
 class TestSpectral:
     def test_power_iteration_on_diagonal(self):
         d = np.array([3.0, 1.0, 2.0])
@@ -81,11 +96,19 @@ class TestSpectral:
         eig, _, _ = dominant_eigenpair(g.adj, g.w_max)
         assert eig == pytest.approx(2.0, abs=1e-8)
 
+    def test_non_convergence_warns_after_one_run(self, monkeypatch):
+        calls = counting(monkeypatch, power_iteration, spectral)
+        with pytest.warns(RuntimeWarning, match="after 10000 iterations"):
+            eig, _, res = dominant_eigenpair(two_triangles().adj, 1.0)
+        assert len(calls) == 1
+        assert res > spectral.EIG_TOL * 3.0
+        assert eig == pytest.approx(2.0, abs=1e-3)
+
     def test_second_singular_value_matches_dense(self, rng):
         for _ in range(10):
             g = random_graph(rng, 12, min_edges=3)
             eig, v, _ = dominant_eigenpair(g.adj, g.w_max)
-            s2, _ = second_singular_value(g.adj, eig, v)
+            s2 = second_singular_value(g.adj, eig, v)
             dense_svals = np.linalg.svd(g.adj.toarray(), compute_uv=False)
             assert s2 == pytest.approx(dense_svals[1], abs=1e-5)
 
@@ -132,6 +155,16 @@ class TestUpperBound:
         spec = random_spec(rng, 8, k_min=2)
         d = upper_bound(g, spec).to_dict()
         assert set(d) >= {"bound", "sigma1", "sigma2", "degenerate_spectrum"}
+
+    def test_eigenpair_computed_once(self, rng, monkeypatch):
+        for _ in range(5):
+            g = random_graph(rng, 20, min_edges=3)
+            spec = random_spec(rng, 20, k_min=2)
+            calls = counting(monkeypatch, dominant_eigenpair,
+                             metrics, baselines)
+            rep = upper_bound(g, spec)
+            assert len(calls) == 1
+            assert rep.bilinear_value == lrbo_rank1(g, spec)[2]
 
     def test_degenerate_spectrum_flagged(self):
         # two disjoint equal edges give a repeated top singular value
