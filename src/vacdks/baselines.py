@@ -9,7 +9,6 @@ import numpy as np
 
 from .constraints import ConstraintSpec, lmo, validate
 from .graph import WeightedGraph, induced_weight
-from .spectral import dominant_eigenpair
 
 BRUTE_FORCE_LIMIT = 10**7
 
@@ -75,8 +74,14 @@ def lrbo_rank1(graph: WeightedGraph, spec: ConstraintSpec):
     validate(spec, graph)
     if graph.m == 0:
         raise ValueError("LRBO requires a graph with at least one edge")
-    eig1, v1, _ = dominant_eigenpair(graph.adj, graph.w_max)
-    candidates = _bilinear_candidates(spec, eig1, v1)
+    eig1, v1, _ = graph.eigenpair
+    u1 = eig1 * v1
+    candidates = []
+    for sign in (1.0, -1.0):
+        x = lmo(spec, sign * v1)
+        cx = float(v1 @ x)
+        y = lmo(spec, np.sign(eig1 * cx) * u1 if eig1 * cx != 0 else u1)
+        candidates.append((x, y, cx * float(u1 @ y)))
     best_x, best_y, bilinear_value = max(candidates, key=lambda c: c[2])
     # Collapse the pair to one reported subgraph: the x candidate with the
     # larger induced weight (the bilinear optimum itself is a pair).
@@ -84,19 +89,6 @@ def lrbo_rank1(graph: WeightedGraph, spec: ConstraintSpec):
     weights = [induced_weight(graph, s) for s in sets]
     selected = sets[int(np.argmax(weights))]
     return selected, (best_x, best_y), bilinear_value
-
-
-def _bilinear_candidates(spec, eig1, v1):
-    """Rank-1 LRBO's two sign candidates (x, y, x^T v1 u1^T y)."""
-    u1 = eig1 * v1
-    candidates = []
-    for sign in (1.0, -1.0):
-        x = lmo(spec, sign * v1)
-        cx = float(v1 @ x)
-        y = lmo(spec, np.sign(eig1 * cx) * u1 if eig1 * cx != 0 else u1)
-        value = cx * float(u1 @ y)
-        candidates.append((x, y, value))
-    return candidates
 
 
 def brute_force(graph: WeightedGraph, spec: ConstraintSpec):

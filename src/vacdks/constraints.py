@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import AttributeAssignment, WeightedGraph
+from .graph import AttributeAssignment, WeightedGraph, _vertex_ids
 
 # Feasibility tolerances for fractional points (floating-point slack).
 BOX_TOL = 1e-9
@@ -68,8 +68,11 @@ def validate(spec: ConstraintSpec, graph: WeightedGraph = None) -> None:
 
 def is_feasible_binary(spec: ConstraintSpec, s) -> bool:
     """True iff |s| = k and every group meets its minimum."""
-    s = np.unique(np.asarray(list(s), dtype=np.int64))
-    if len(s) != spec.k or (len(s) and (s[0] < 0 or s[-1] >= spec.n)):
+    try:
+        s = _vertex_ids(s, spec.n)
+    except ValueError:
+        return False
+    if len(s) != spec.k:
         return False
     counts = np.bincount(spec.attr.labels[s], minlength=spec.attr.r)
     return all(c >= ki for c, ki in zip(counts, spec.mins))
@@ -205,6 +208,8 @@ def round_to_integral(graph: WeightedGraph, spec: ConstraintSpec, lam, x,
     most one fractional entry. Requires lam >= w_max; the loaded objective
     g(x) = x^T (A + lam I) x never decreases, and at most n transfers occur.
     """
+    if not np.isfinite(lam):
+        raise ConstraintError(f"diagonal loading {lam} is not finite")
     if lam < graph.w_max - 1e-12:
         raise ConstraintError(
             f"diagonal loading {lam} below w_max={graph.w_max}")

@@ -24,7 +24,6 @@ from .constraints import (
     validate,
 )
 from .graph import WeightedGraph
-from .spectral import dominant_eigenpair
 
 # Safety factor applied to the power-method estimate so the step rule's
 # ascent guarantee survives eigenvalue underestimation.
@@ -73,10 +72,9 @@ def lipschitz_estimate(graph: WeightedGraph, lam) -> float:
 
     The adjacency is entrywise non-negative, so the spectral norm equals the
     top eigenvalue of A plus lam; the eigenvalue comes from
-    ``dominant_eigenpair``, which warns if it did not converge.
+    ``graph.eigenpair``, which warns once per graph if it did not converge.
     """
-    eig1, _, _ = dominant_eigenpair(graph.adj, graph.w_max)
-    return L_INFLATION * max(eig1 + lam, lam)
+    return L_INFLATION * max(graph.eigenpair[0] + lam, lam)
 
 
 def solve_fw(graph: WeightedGraph, spec: ConstraintSpec, cfg: FwConfig = None,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import os
@@ -9,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+
+from .spectral import dominant_eigenpair
 
 
 class GraphFormatError(ValueError):
@@ -35,8 +38,12 @@ class WeightedGraph:
     def m(self) -> int:
         return self.adj.nnz // 2
 
-    def is_unweighted(self) -> bool:
-        return self.m == 0 or (self.w_max == 1.0 and self.adj.data.min() == 1.0)
+    @functools.cached_property
+    def eigenpair(self):
+        """``dominant_eigenpair(adj, w_max)``, computed once on first use."""
+        eig1, v1, residual = dominant_eigenpair(self.adj, self.w_max)
+        v1.flags.writeable = False  # shared by every solver run on the graph
+        return eig1, v1, residual
 
     @classmethod
     def from_edges(cls, n, u, v, w=None) -> "WeightedGraph":
@@ -452,11 +459,25 @@ def generate_planted_clique(cfg: PlantedCliqueConfig):
     return graph, attr, planted
 
 
+def _vertex_ids(s, n) -> np.ndarray:
+    """Sorted distinct ids of the vertex collection ``s``.
+
+    Raises ValueError unless every id is an integer in [0, n): a float is
+    never truncated and a negative id never wraps around to the end.
+    """
+    ids = np.asarray(list(s))
+    if ids.size == 0:
+        return np.empty(0, dtype=np.int64)
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"vertex ids must be integers, got {ids.dtype}")
+    if ids.min() < 0 or ids.max() >= n:
+        raise ValueError(f"vertex id out of range [0, {n})")
+    return np.unique(ids.astype(np.int64))
+
+
 def induced_weight(graph: WeightedGraph, s) -> float:
     """Total edge weight of the subgraph induced by vertex set ``s``."""
-    s = np.unique(np.asarray(list(s), dtype=np.int64))
-    if len(s) and (s[0] < 0 or s[-1] >= graph.n):
-        raise ValueError("vertex id out of range")
+    s = _vertex_ids(s, graph.n)
     if len(s) <= 1:
         return 0.0
     sub = graph.adj[s][:, s]

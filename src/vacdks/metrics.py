@@ -6,10 +6,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .baselines import _bilinear_candidates
+from .baselines import lrbo_rank1
 from .constraints import ConstraintSpec, validate
-from .graph import AttributeAssignment, WeightedGraph, induced_weight
-from .spectral import dominant_eigenpair, second_singular_value
+from .graph import (AttributeAssignment, WeightedGraph, _vertex_ids,
+                    induced_weight)
+from .spectral import second_singular_value
 
 # Relative spectral gap below which the sigma_2 estimate is considered
 # unreliable and the corresponding bound term is widened.
@@ -36,7 +37,7 @@ class BoundReport:
 
 def normalized_edge_weight(graph: WeightedGraph, s) -> float:
     """Induced weight divided by w_max * C(k, 2); density for unit weights."""
-    s = np.unique(np.asarray(list(s), dtype=np.int64))
+    s = _vertex_ids(s, graph.n)
     k = len(s)
     if k < 2:
         raise ValueError("normalized edge weight needs at least 2 vertices")
@@ -47,7 +48,7 @@ def normalized_edge_weight(graph: WeightedGraph, s) -> float:
 
 def group_proportions(attr: AttributeAssignment, s) -> np.ndarray:
     """Fraction of the selection falling in each group; sums to 1."""
-    s = np.unique(np.asarray(list(s), dtype=np.int64))
+    s = _vertex_ids(s, attr.n)
     if len(s) == 0:
         raise ValueError("empty selection")
     counts = np.bincount(attr.labels[s], minlength=attr.r)
@@ -64,8 +65,8 @@ def upper_bound(graph: WeightedGraph, spec: ConstraintSpec) -> BoundReport:
 
     min of: the trivial bound 1; the rank-1 bilinear value plus a sigma_2
     correction; and sigma_1 / (w_max (k-1)). Computed on A itself; the
-    diagonal loading is a solver device and does not enter the bound. One
-    dominant eigenpair serves sigma_1, sigma_2 and the bilinear value.
+    diagonal loading is a solver device and does not enter the bound. The
+    graph's eigenpair serves sigma_1, sigma_2 and the bilinear value.
     """
     validate(spec, graph)
     k = spec.k
@@ -75,13 +76,13 @@ def upper_bound(graph: WeightedGraph, spec: ConstraintSpec) -> BoundReport:
         return BoundReport(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, False, 0.0)
 
     w_max = graph.w_max
-    eig1, v1, residual = dominant_eigenpair(graph.adj, w_max)
+    eig1, v1, residual = graph.eigenpair
     sigma1 = abs(eig1)
     sigma2 = second_singular_value(graph.adj, eig1, v1)
     degenerate = (sigma1 - sigma2) < DEGENERATE_GAP * max(sigma1, 1e-300)
     sigma2_eff = sigma2 + DEGENERATE_GAP * sigma1 if degenerate else sigma2
 
-    bilinear_value = max(c[2] for c in _bilinear_candidates(spec, eig1, v1))
+    bilinear_value = lrbo_rank1(graph, spec)[2]
     term_trivial = 1.0
     term_rank1 = (bilinear_value / (w_max * k * (k - 1))
                   + sigma2_eff / (w_max * (k - 1)))

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from vacdks import cli
+from vacdks import FwConfig, cli, graph
 from vacdks.cli import main
 
 
@@ -242,6 +242,24 @@ class TestBench:
         assert [r["error"] for r in rows] == [reason, reason]
         summary = json.loads((out / "summary.json").read_text())
         assert summary["peel"]["runs"] == summary["peel"]["failures"] == 2
+
+    def test_timed_run_computes_its_own_eigenpair(self, monkeypatch):
+        calls = []
+        solve = graph.dominant_eigenpair
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(graph, "dominant_eigenpair", counting)
+        payload = {"method": "fw", "k": 6, "mins": [2, 2, 2],
+                   "generator": dict(n=60, p=0.1, k=6, r=3, weighted=False,
+                                     seed=0),
+                   "fw_cfg": FwConfig()}
+        record = cli._bench_run(payload)
+        # one eigen-solve in the warm-up, one in the timed run
+        assert len(calls) == 2
+        assert record["iterations"] >= 1
 
     def test_unknown_method_exit_1(self, tmp_path):
         rc = main(["bench", "--methods", "nope", "--n", "40", "--p", "0.1",

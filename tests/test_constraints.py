@@ -72,6 +72,10 @@ class TestFeasibility:
     def test_binary_out_of_range(self):
         assert not is_feasible_binary(self.spec, [0, 2, 7])
 
+    def test_binary_non_integer_ids(self):
+        # truncation would read these as the feasible set [0, 2, 3]
+        assert not is_feasible_binary(self.spec, [0.5, 2.2, 3.9])
+
     def test_fractional_feasible(self):
         assert is_feasible_fractional(self.spec, np.array([0.5, 0.5, 1, 0.5, 0.5]))
 
@@ -196,6 +200,13 @@ class TestRounding:
         x = init_uniform(spec)
         with pytest.raises(ConstraintError, match="diagonal loading"):
             round_to_integral(g, spec, g.w_max * 0.5, x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_lambda(self, rng, bad):
+        g = random_graph(rng, 6, min_edges=1)
+        spec = random_spec(rng, 6)
+        with pytest.raises(ConstraintError, match="not finite"):
+            round_to_integral(g, spec, bad, init_uniform(spec))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_point(self, rng, bad):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,12 @@ class TestLipschitz:
         with pytest.warns(RuntimeWarning, match="power iteration residual"):
             L = lipschitz_estimate(g, g.w_max)
         assert L >= 1.01 * 3.0 - 1e-3
+        # the graph keeps its eigenpair: no second run, no second warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lipschitz_estimate(g, g.w_max) == L
+        with pytest.warns(RuntimeWarning, match="power iteration residual"):
+            lipschitz_estimate(two_triangles(), 1.0)
 
 
 class TestSolveFw:

@@ -198,6 +198,10 @@ class TestInducedWeight:
         with pytest.raises(ValueError, match="out of range"):
             induced_weight(self.triangle(), {0, 7})
 
+    def test_rejects_non_integer_ids(self):
+        with pytest.raises(ValueError, match="integers"):
+            induced_weight(self.triangle(), [0.9, 1.7])
+
 
 def test_pair_index_inversion(rng):
     for n in (3, 10, 57, 2001):

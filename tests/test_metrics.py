@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vacdks import (
     AttributeAssignment,
@@ -8,13 +10,15 @@ from vacdks import (
     WeightedGraph,
     brute_force,
     generate_planted_clique,
+    greedy_peel,
     group_proportions,
     lrbo_rank1,
     normalized_edge_weight,
     recovery_check,
+    solve_fw,
     upper_bound,
 )
-from vacdks import baselines, metrics, spectral
+from vacdks import graph, spectral
 from vacdks.spectral import dominant_eigenpair, power_iteration, second_singular_value
 
 from conftest import random_graph, random_spec, two_triangles
@@ -49,12 +53,22 @@ class TestNormalizedEdgeWeight:
         with pytest.raises(ValueError, match="at least 2"):
             normalized_edge_weight(complete_graph(3), np.array([0]))
 
+    def test_rejects_non_integer_ids(self):
+        with pytest.raises(ValueError, match="integers"):
+            normalized_edge_weight(complete_graph(4), [0.5, 2.5])
+
 
 class TestGroupTools:
     def test_proportions(self):
         attr = AttributeAssignment.from_labels(np.array([0, 0, 1, 2, 2, 2]))
         props = group_proportions(attr, np.array([0, 2, 3, 4]))
         np.testing.assert_allclose(props, [0.25, 0.25, 0.5])
+
+    def test_proportions_reject_negative_ids(self):
+        attr = AttributeAssignment.from_labels(np.array([0, 0, 1, 1, 1]))
+        # -1 must not wrap around to vertex 4
+        with pytest.raises(ValueError, match="out of range"):
+            group_proportions(attr, [-1, 0])
 
     def test_recovery(self):
         assert recovery_check(np.array([3, 1, 2]), np.array([1, 2, 3]))
@@ -160,8 +174,7 @@ class TestUpperBound:
         for _ in range(5):
             g = random_graph(rng, 20, min_edges=3)
             spec = random_spec(rng, 20, k_min=2)
-            calls = counting(monkeypatch, dominant_eigenpair,
-                             metrics, baselines)
+            calls = counting(monkeypatch, dominant_eigenpair, graph)
             rep = upper_bound(g, spec)
             assert len(calls) == 1
             assert rep.bilinear_value == lrbo_rank1(g, spec)[2]
@@ -180,3 +193,40 @@ class TestUpperBound:
         spec = ConstraintSpec(k=12, mins=(4, 4, 4), attr=attr)
         rep = upper_bound(g, spec)
         assert rep.bound + 1e-7 >= normalized_edge_weight(g, planted)
+
+
+def all_methods(graph_for, spec):
+    """fw, fw+peel, lrbo and the bound, each on the graph ``graph_for()``."""
+    _, fw_sel, fw_trace = solve_fw(graph_for(), spec)
+    g = graph_for()
+    x0 = np.zeros(g.n)
+    x0[greedy_peel(g, spec)] = 1.0
+    _, warm_sel, warm_trace = solve_fw(g, spec, x0=x0)
+    lrbo_sel, _, bilinear_value = lrbo_rank1(graph_for(), spec)
+    return (fw_sel.tolist(), fw_trace.iterations, fw_trace.objective,
+            warm_sel.tolist(), warm_trace.iterations, warm_trace.objective,
+            lrbo_sel.tolist(), bilinear_value, upper_bound(graph_for(), spec))
+
+
+class TestSharedEigenpair:
+    def test_one_eigen_solve_per_graph(self, rng, monkeypatch):
+        g = random_graph(rng, 20, min_edges=3)
+        spec = random_spec(rng, 20, k_min=2)
+        calls = counting(monkeypatch, dominant_eigenpair, graph)
+        all_methods(lambda: g, spec)
+        assert len(calls) == 1
+        # every caller gets the same vector, so none may write to it
+        assert not g.eigenpair[1].flags.writeable
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_shared_graph_matches_fresh_graphs(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 16))
+        g = random_graph(rng, n, weighted=bool(rng.integers(2)), min_edges=1)
+        spec = random_spec(rng, n, k_min=2)
+        shared = all_methods(lambda: g, spec)
+        fresh = all_methods(
+            lambda: WeightedGraph(adj=g.adj, w_max=g.w_max), spec)
+        assert shared == fresh
