@@ -165,13 +165,6 @@ def _snap(x: np.ndarray) -> None:
     x[near_one] = 1.0
 
 
-def _fractional(x: np.ndarray, members=None) -> np.ndarray:
-    if members is None:
-        return np.flatnonzero((x > 0.0) & (x < 1.0))
-    sub = members[(x[members] > 0.0) & (x[members] < 1.0)]
-    return sub
-
-
 def _transfer(adj, lam, x, s, frac):
     """One mass transfer between the extreme fractional entries in ``frac``.
 
@@ -188,11 +181,9 @@ def _transfer(adj, lam, x, s, frac):
     delta = min(x[l], 1.0 - x[j])
     x[j] += delta
     x[l] -= delta
-    row_j = adj.getrow(j)
-    row_l = adj.getrow(l)
-    s[row_j.indices] += delta * row_j.data
-    s[row_l.indices] -= delta * row_l.data
-    for v in (j, l):
+    for v, dv in ((j, delta), (l, -delta)):
+        row = slice(adj.indptr[v], adj.indptr[v + 1])
+        s[adj.indices[row]] += dv * adj.data[row]
         if x[v] < FRACTIONAL_TOL:
             x[v] = 0.0
         elif x[v] > 1.0 - FRACTIONAL_TOL:
@@ -219,22 +210,16 @@ def round_to_integral(graph: WeightedGraph, spec: ConstraintSpec, lam, x,
     s = graph.adj @ x
     transfers = 0
 
-    for members in spec.attr.groups:
+    # Within each group first, then across all vertices; after the last
+    # pass ``frac`` holds the fractional entries left anywhere.
+    for members in (*spec.attr.groups, np.arange(graph.n)):
         while True:
-            frac = _fractional(x, members)
+            frac = members[(x[members] > 0.0) & (x[members] < 1.0)]
             if len(frac) < 2:
                 break
             _transfer(graph.adj, lam, x, s, frac)
             transfers += 1
 
-    while True:
-        frac = _fractional(x)
-        if len(frac) < 2:
-            break
-        _transfer(graph.adj, lam, x, s, frac)
-        transfers += 1
-
-    frac = _fractional(x)
     if len(frac) == 1:
         # Input sum may sit within SUM_TOL of k; the drift ends up in one
         # entry, which must then be within that slack of an integer.
@@ -244,8 +229,6 @@ def round_to_integral(graph: WeightedGraph, spec: ConstraintSpec, lam, x,
             raise AssertionError(
                 f"lone fractional entry {x[v]} cannot be snapped")
         x[v] = nearest
-    elif len(frac) > 1:
-        raise AssertionError(f"rounding left {len(frac)} fractional entries")
     out = (x > 0.5).astype(np.float64)
     if int(out.sum()) != spec.k:
         raise AssertionError("rounded point does not have exactly k ones")

@@ -381,23 +381,11 @@ def _sample_pair_indices(rng, n, p):
 
 def _pairs_from_indices(t, n):
     """Invert the lexicographic pair numbering: index -> (u, v), u < v."""
-    t = t.astype(np.int64)
-    tf = t.astype(np.float64)
-    b = 2 * n - 1
-    u = np.floor((b - np.sqrt(b * b - 8 * tf)) / 2).astype(np.int64)
-    u = np.clip(u, 0, n - 2)
-    # fix float rounding at row boundaries
-    for _ in range(3):
-        off = u * (2 * n - u - 1) // 2
-        u = np.where(off > t, u - 1, u)
-        off = u * (2 * n - u - 1) // 2
-        nxt = (u + 1) * (2 * n - u - 2) // 2
-        u = np.where(nxt <= t, u + 1, u)
-    off = u * (2 * n - u - 1) // 2
-    nxt = (u + 1) * (2 * n - u - 2) // 2
-    assert np.all((off <= t) & (t < nxt))
-    v = u + 1 + (t - off)
-    return u, v
+    t = np.asarray(t, dtype=np.int64)
+    rows = np.arange(n - 1, dtype=np.int64)
+    offsets = rows * (2 * n - rows - 1) // 2  # index of the pair (u, u + 1)
+    u = np.searchsorted(offsets, t, side="right") - 1
+    return u, u + 1 + (t - offsets[u])
 
 
 # Above this size, pairwise Bernoulli sampling over all C(n,2) pairs is

@@ -56,8 +56,13 @@ def group_proportions(attr: AttributeAssignment, s) -> np.ndarray:
 
 
 def recovery_check(planted, s) -> bool:
-    """True iff the solution equals the planted ground truth exactly."""
-    return set(int(v) for v in planted) == set(int(v) for v in s)
+    """True iff the solution equals the planted ground truth exactly.
+
+    Both must hold non-negative integer ids; there is no graph to bound them.
+    """
+    no_bound = np.iinfo(np.int64).max
+    return np.array_equal(_vertex_ids(planted, no_bound),
+                          _vertex_ids(s, no_bound))
 
 
 def upper_bound(graph: WeightedGraph, spec: ConstraintSpec) -> BoundReport:

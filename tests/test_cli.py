@@ -161,6 +161,17 @@ class TestBound:
         assert 0.0 < rep["bound"] <= 1.0
         assert rep["sigma1"] >= rep["sigma2"] >= 0.0
 
+    def test_degenerate_spectrum_is_valid_json(self, tmp_path, capsys):
+        # a 4-cycle is bipartite: sigma_2 = sigma_1 = 2
+        (tmp_path / "e.tsv").write_text("0 1 1.0\n1 2 1.0\n2 3 1.0\n0 3 1.0\n")
+        (tmp_path / "a.tsv").write_text("".join(f"{v} 0\n" for v in range(4)))
+        rc = main(["bound", "--edges", str(tmp_path / "e.tsv"),
+                   "--attrs", str(tmp_path / "a.tsv"), "--k", "2"])
+        assert rc == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["degenerate_spectrum"] is True
+        assert rep["sigma2"] == pytest.approx(2.0, rel=1e-8)
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_attribute_pipe_is_read_once(self, tmp_path, capsys):
         """A pipe can be read only once, as with ``--attrs <(...)``."""

@@ -204,6 +204,10 @@ class TestInducedWeight:
 
 
 def test_pair_index_inversion(rng):
+    for n in (2, 3, 5, 100):
+        u, v = _pairs_from_indices(np.arange(n * (n - 1) // 2), n)
+        iu, iv = np.triu_indices(n, k=1)
+        assert np.array_equal(u, iu) and np.array_equal(v, iv)
     for n in (3, 10, 57, 2001):
         total = n * (n - 1) // 2
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]

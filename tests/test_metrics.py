@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from vacdks import (
     AttributeAssignment,
@@ -74,6 +75,13 @@ class TestGroupTools:
         assert recovery_check(np.array([3, 1, 2]), np.array([1, 2, 3]))
         assert not recovery_check(np.array([1, 2]), np.array([1, 2, 3]))
 
+    @pytest.mark.parametrize("ids", [[1.7, 2.2], [-1, 2]])
+    def test_recovery_rejects_non_vertex_ids(self, ids):
+        # int(1.7) == 1 used to make this a match
+        for planted, s in ((np.array([1, 2]), ids), (ids, np.array([1, 2]))):
+            with pytest.raises(ValueError):
+                recovery_check(planted, s)
+
 
 def counting(monkeypatch, fn, *modules):
     """Replace ``fn`` in each module by a wrapper; returns its call list."""
@@ -125,6 +133,55 @@ class TestSpectral:
             s2 = second_singular_value(g.adj, eig, v)
             dense_svals = np.linalg.svd(g.adj.toarray(), compute_uv=False)
             assert s2 == pytest.approx(dense_svals[1], abs=1e-5)
+
+    @staticmethod
+    def assert_bounds_deflated_norm(g):
+        """sigma_2 is a Python float at or above ||A - eig1 v1 v1^T|| (dense
+        eigvalsh, itself exact only to a few ulps) and within 1e-8 of it."""
+        eig, v, _ = dominant_eigenpair(g.adj, g.w_max)
+        s2 = second_singular_value(g.adj, eig, v)
+        assert type(s2) is float  # a numpy scalar breaks `vacdks bound` JSON
+        ev = np.linalg.eigvalsh(g.adj.toarray() - eig * np.outer(v, v))
+        dense = max(-ev[0], ev[-1])
+        assert dense * (1 - 1e-13) <= s2 <= dense * (1 + 1e-8)
+        return s2
+
+    def test_second_singular_value_bounds_dense_from_above(self, rng):
+        for i in range(40):
+            n = int(rng.integers(2, 60))
+            g = random_graph(rng, n, weighted=bool(i % 2),
+                             p=float(rng.uniform(0.05, 0.9)), min_edges=1)
+            self.assert_bounds_deflated_norm(g)
+
+    def test_second_singular_value_bipartite(self, rng):
+        # K_{5,7}: the spectrum is symmetric, so sigma_2 = sigma_1
+        u, v = np.divmod(np.arange(35), 7)
+        g = WeightedGraph.from_edges(12, u, v + 5, rng.uniform(0.5, 1.0, 35))
+        s2 = self.assert_bounds_deflated_norm(g)
+        assert s2 == pytest.approx(g.eigenpair[0], rel=1e-8)
+
+    @pytest.mark.parametrize("rel", [-1e-9, 0.0, 1e-9])
+    def test_second_singular_value_mirrored_ends(self, rel):
+        # K_6 (top eigenvalue 5), an edge of weight 3 (+-3) and a triangle
+        # of weight b (2b, -b, -b): after deflation lambda_2 = 3 (1 + rel)
+        # and lambda_n = -3, so the larger |theta| switches ends with rel.
+        u, v = map(list, zip(*[(a, c) for a in range(6) for c in range(a + 1, 6)]))
+        b = 1.5 * (1 + rel)
+        g = WeightedGraph.from_edges(
+            11, u + [6, 8, 8, 9], v + [7, 9, 10, 10], [1.0] * 15 + [3.0, b, b, b])
+        s2 = self.assert_bounds_deflated_norm(g)
+        assert s2 == pytest.approx(3.0 * (1 + max(rel, 0.0)), rel=1e-8)
+
+    def test_second_singular_value_waits_for_the_slow_end(self):
+        # Diagonal operator, nothing deflated: +3 stands alone and converges
+        # in a few steps, while the larger end -3 (1 + 1e-6) heads a cluster
+        # that Lanczos resolves slowly. Stopping on the fast end alone
+        # under-estimates the norm by 1e-6 relative.
+        n, top = 200, 3.0 * (1 + 1e-6)
+        k = np.arange(n - 1)
+        d = np.concatenate([[3.0], -top * (1 - 0.5 * (k / n) ** 2)])
+        s2 = second_singular_value(sparse.diags(d).tocsr(), 0.0, np.eye(n)[0])
+        assert top <= s2 <= top * (1 + 1e-8)
 
 
 class TestUpperBound:
