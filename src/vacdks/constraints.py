@@ -130,13 +130,20 @@ def init_uniform(spec: ConstraintSpec) -> np.ndarray:
 def _top_k(values: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest values among candidates, ties by lower id.
 
-    Stable descending sort; candidates must be in ascending id order so that
-    equal values resolve to the lower id.
+    O(|candidates|) selection: with t the k-th largest value, takes every
+    candidate above t, then the first candidates equal to t until k are
+    taken. Candidates must be in ascending id order so that equal values
+    resolve to the lower id.
     """
     if k <= 0:
         return candidates[:0]
-    order = np.argsort(-values[candidates], kind="stable")
-    return candidates[order[:k]]
+    vals = values[candidates]
+    cut = len(vals) - k
+    t = np.partition(vals, cut)[cut]
+    take = vals > t
+    ties = np.flatnonzero(vals == t)
+    take[ties[:k - int(np.count_nonzero(take))]] = True
+    return candidates[take]
 
 
 def lmo(spec: ConstraintSpec, grad) -> np.ndarray:

@@ -4,6 +4,11 @@ Maximizes g(x) = x^T (A + lam*I) x over the relaxed feasible set using
 closed-form linear maximization (no projections) and the adaptive step
 gamma = min(1, gap / (L ||d||^2)), which guarantees monotone ascent when
 L bounds the spectral norm of A + lam*I.
+
+A x is computed once. Each LMO answer s is a 0/1 vertex with k ones, so
+A s is the sum of k CSR rows and a step updates A x <- (1-gamma) A x +
+gamma A s: an iteration costs O(n + k * mean degree), with no full
+matrix-vector product. Rounding recomputes A x exactly.
 """
 
 from __future__ import annotations
@@ -96,9 +101,11 @@ def solve_fw(graph: WeightedGraph, spec: ConstraintSpec, cfg: FwConfig = None,
     start = time.perf_counter()
     L = lipschitz_estimate(graph, lam)
     x = np.asarray(x0, dtype=np.float64).copy()
+    adj = graph.adj
+    ax = adj @ x
     trace = FwTrace()
     for _ in range(cfg.max_iters):
-        grad = graph.adj @ x + lam * x
+        grad = ax + lam * x
         obj = float(x @ grad)
         s = lmo(spec, grad)
         d = s - x
@@ -116,6 +123,17 @@ def solve_fw(graph: WeightedGraph, spec: ConstraintSpec, cfg: FwConfig = None,
         trace.gap.append(gap)
         trace.step_size.append(gamma)
         x += gamma * d
+        # s is a 0/1 vertex and A is symmetric, so A s is the sum of the
+        # CSR rows of s's k ones: A x moves to (1 - gamma) A x + gamma A s.
+        # ``pos`` lists those rows' entries in adj.indices and adj.data.
+        ones = np.flatnonzero(s)
+        starts = adj.indptr[ones]
+        lengths = adj.indptr[ones + 1] - starts
+        pos = (np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+               + np.arange(lengths.sum()))
+        ax *= 1.0 - gamma
+        ax += gamma * np.bincount(adj.indices[pos], weights=adj.data[pos],
+                                  minlength=graph.n)
 
     rounded = round_to_integral(graph, spec, max(lam, graph.w_max), x)
     trace.wall_seconds = time.perf_counter() - start

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vacdks import (
     AttributeAssignment,
@@ -162,6 +164,61 @@ class TestLmo:
         v = lmo(spec, rng.normal(size=12))
         assert set(np.unique(v)) <= {0.0, 1.0}
         assert v.sum() == spec.k
+
+
+def _top_k_argsort(values, candidates, k):
+    """Reference selection: stable descending argsort, ties to lower id."""
+    if k <= 0:
+        return candidates[:0]
+    order = np.argsort(-values[candidates], kind="stable")
+    return candidates[order[:k]]
+
+
+def lmo_reference(spec, grad):
+    selected = np.zeros(spec.n, dtype=bool)
+    for ki, members in zip(spec.mins, spec.attr.groups):
+        selected[_top_k_argsort(grad, members, ki)] = True
+    pool = np.flatnonzero(~selected)
+    selected[_top_k_argsort(grad, pool, spec.k - spec.min_total)] = True
+    return selected.astype(np.float64)
+
+
+@st.composite
+def lmo_instances(draw):
+    """A spec plus a tie-heavy gradient.
+
+    Group minimums are often 0 or the whole group, and k is often the sum
+    of the minimums, which leaves nothing to the global top-up.
+    """
+    n = draw(st.integers(min_value=1, max_value=24))
+    r = draw(st.integers(min_value=1, max_value=min(3, n)))
+    labels = draw(st.lists(st.integers(min_value=0, max_value=r - 1),
+                           min_size=n, max_size=n))
+    attr = AttributeAssignment.from_labels(np.asarray(labels), r=r)
+    mins = [draw(st.one_of(st.just(0), st.just(len(members)),
+                           st.integers(min_value=0, max_value=len(members))))
+            for members in attr.groups]
+    low = max(sum(mins), 1)
+    k = draw(st.one_of(st.just(low), st.integers(min_value=low, max_value=n)))
+    entry = st.one_of(st.integers(min_value=-2, max_value=2).map(float),
+                      st.sampled_from([-0.0, 0.0]),
+                      st.floats(min_value=-4.0, max_value=4.0))
+    grad = draw(st.lists(entry, min_size=n, max_size=n))
+    return ConstraintSpec(k=k, mins=tuple(mins), attr=attr), np.array(grad)
+
+
+class TestLmoAgainstArgsort:
+    @settings(max_examples=400, deadline=None)
+    @given(lmo_instances())
+    # -0.0 and 0.0 tie: the lower id wins whichever sign it carries
+    @example((make_spec([0, 0, 0], 1, [0]), np.array([-0.0, 0.0, -1.0])))
+    @example((make_spec([0, 0, 0], 1, [0]), np.array([0.0, -0.0, -1.0])))
+    # ties straddle the cut, inside a group and in the top-up
+    @example((make_spec([0, 1, 0, 1, 0, 1], 4, [1, 1]),
+              np.array([1.0, 1.0, 1.0, 1.0, 1.0, 2.0])))
+    def test_bit_exact(self, instance):
+        spec, grad = instance
+        np.testing.assert_array_equal(lmo(spec, grad), lmo_reference(spec, grad))
 
 
 class TestRounding:

@@ -2,10 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from vacdks import (
     ConstraintError,
     FwConfig,
+    WeightedGraph,
     PlantedCliqueConfig,
     brute_force,
     generate_planted_clique,
@@ -182,6 +184,48 @@ class TestSolveFw:
         spec = random_spec(rng, 10, k_min=2)
         _, sel, _ = solve_fw(g, spec, FwConfig(lam=0.0))
         assert is_feasible_binary(spec, sel)
+
+
+class TestMaintainedGradient:
+    """solve_fw updates A x from the k rows of each LMO vertex instead of
+    multiplying by A every iteration."""
+
+    def test_final_objective_matches_fresh_product(self, rng):
+        # Each step rescales A x and adds gamma * A s, so the maintained
+        # product drifts by at most a few ulps per iteration.
+        converged = 0
+        for _ in range(12):
+            n = int(rng.integers(30, 150))
+            g = random_graph(rng, n, weighted=bool(rng.integers(2)), p=0.2,
+                             min_edges=1)
+            spec = random_spec(rng, n, k_min=3)
+            x, _, trace = solve_fw(g, spec, FwConfig(max_iters=2000,
+                                                     gap_tol=1e-9))
+            if not trace.converged:
+                continue
+            converged += 1
+            exact = objective_g(g, g.w_max, x)
+            assert trace.objective[-1] == pytest.approx(
+                exact, rel=1e-12 * trace.iterations)
+        assert converged >= 6
+
+    def test_two_full_products_per_solve(self, rng):
+        class CountingCsr(sparse.csr_matrix):
+            matmuls = 0
+
+            def __matmul__(self, other):
+                CountingCsr.matmuls += 1
+                return super().__matmul__(other)
+
+        base = random_graph(rng, 60, p=0.3, min_edges=1)
+        g = WeightedGraph(adj=CountingCsr(base.adj), w_max=base.w_max)
+        spec = random_spec(rng, 60, k_min=5)
+        g.eigenpair
+        CountingCsr.matmuls = 0
+        _, _, trace = solve_fw(g, spec)
+        assert trace.converged and trace.iterations > 2
+        # one product for the start point, one inside rounding
+        assert CountingCsr.matmuls == 2
 
 
 def _indicator(sel, n):
