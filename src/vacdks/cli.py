@@ -22,11 +22,11 @@ from .constraints import ConstraintSpec, is_feasible_binary, validate
 from .fw import FwConfig, solve_fw
 from .graph import (
     PlantedCliqueConfig,
-    WeightedGraph,
     generate_planted_clique,
     induced_weight,
     load_attributes,
     load_edge_list,
+    read_text,
     save_attributes,
     save_edge_list,
 )
@@ -100,8 +100,7 @@ def _load_instance(args):
     # The attribute file fixes n; the edge list may omit trailing isolated
     # vertices, so the graph gets at least as many vertices as it labels.
     # It is read once, so that it may be a pipe.
-    with open(args.attrs, encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(args.attrs)
     labeled = sum(1 for line in io.StringIO(text)
                   if line.strip() and not line.lstrip().startswith("#"))
     graph = load_edge_list(args.edges, unweighted_default=args.unweighted,
@@ -219,20 +218,14 @@ def cmd_bound(args):
 
 
 def _bench_run(payload):
-    """One campaign cell: generate, warm up untimed, then time the solve."""
-    cfg = PlantedCliqueConfig(**payload["generator"])
-    graph, attr, planted = generate_planted_clique(cfg)
-    spec = ConstraintSpec(k=payload["k"], mins=tuple(payload["mins"]), attr=attr)
-    validate(spec, graph)
-    fw_cfg = payload["fw_cfg"]
-    method = payload["method"]
-    # Warm up untimed on a copy, so the timed run computes its own eigenpair.
-    _run_method(method, WeightedGraph(graph.adj, graph.w_max), spec, fw_cfg)
+    """One campaign cell: time one solve on the instance the campaign built."""
+    graph, spec, method = payload["graph"], payload["spec"], payload["method"]
     start = time.perf_counter()
-    sel, iterations = _run_method(method, graph, spec, fw_cfg)
+    sel, iterations = _run_method(method, graph, spec, payload["fw_cfg"])
     wall = time.perf_counter() - start
     return _make_record(method, {"generator": payload["generator"]},
-                        spec, cfg.seed, graph, sel, iterations, wall, planted)
+                        spec, payload["generator"]["seed"], graph, sel,
+                        iterations, wall, payload["planted"])
 
 
 def _bench_worker(payload, conn):
@@ -320,18 +313,25 @@ def cmd_bench(args):
     out.mkdir(parents=True, exist_ok=True)
     records = []
     ctx = multiprocessing.get_context("spawn")
-    for method in methods:
-        for seed in range(args.seeds):
-            payload = {
-                "method": method, "k": args.k, "mins": list(mins),
-                "generator": {**base, "seed": seed}, "fw_cfg": fw_cfg,
-            }
-            status, result = _run_isolated(ctx, payload,
+    for seed in range(args.seeds):
+        try:
+            graph, attr, planted = generate_planted_clique(
+                PlantedCliqueConfig(**base, seed=seed))
+            spec = ConstraintSpec(k=args.k, mins=mins, attr=attr)
+            validate(spec, graph)
+        except ValueError as exc:
+            records += [{"method": method, "seed": seed,
+                         "error": f"{type(exc).__name__}: {exc}"}
+                        for method in methods]
+            continue
+        instance = {"graph": graph, "spec": spec, "planted": planted,
+                    "generator": {**base, "seed": seed}, "fw_cfg": fw_cfg}
+        for method in methods:
+            status, result = _run_isolated(ctx, {**instance, "method": method},
                                            _BENCH_RUN_TIMEOUT_S)
-            if status == "ok":
-                records.append(result)
-            else:
-                records.append({"method": method, "seed": seed, "error": result})
+            records.append(result if status == "ok" else
+                           {"method": method, "seed": seed, "error": result})
+    records.sort(key=lambda rec: methods.index(rec["method"]))  # method-major
 
     fields = ["method", "seed", "objective", "normalized", "recovery",
               "iterations", "wall_seconds", "error"]

@@ -8,6 +8,7 @@ at least k_i). All tie-breaks favor the lower vertex id.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,10 @@ class ConstraintSpec:
     attr: AttributeAssignment
 
     def __post_init__(self):
+        for name, v in (("k", self.k),
+                        *((f"k_{i}", ki) for i, ki in enumerate(self.mins))):
+            if not isinstance(v, numbers.Integral):
+                raise ConstraintError(f"{name}={v!r} is not an integer")
         object.__setattr__(self, "mins", tuple(int(v) for v in self.mins))
 
     @property

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import io
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -128,6 +129,10 @@ class PlantedCliqueConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "k", "r"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name}={value!r} must be an integer")
         if not 1 <= self.k <= self.n:
             raise ValueError(f"k={self.k} must be in [1, n={self.n}]")
         if self.r < 1 or self.k % self.r != 0:
@@ -146,11 +151,14 @@ def load_edge_list(path, unweighted_default=False, n=None) -> WeightedGraph:
     trailing vertices survive a round trip; an explicit ``n`` argument takes
     the same role. Comments take a whole line: "#" inside an edge line is an
     error. Malformed input raises :class:`GraphFormatError` naming the first
-    bad line.
+    bad line, or only the file when it is not UTF-8 text.
     """
-    graph = _load_edge_list_fast(path, unweighted_default, n)
-    if graph is None:
-        graph = _load_edge_list_reference(path, unweighted_default, n)
+    try:
+        graph = _load_edge_list_fast(path, unweighted_default, n)
+        if graph is None:
+            graph = _load_edge_list_reference(path, unweighted_default, n)
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path}: not UTF-8 text") from exc
     return graph
 
 
@@ -312,6 +320,15 @@ def save_edge_list(graph: WeightedGraph, path) -> None:
             fh.write(f"{a} {b} {c!r}\n")
 
 
+def read_text(path) -> str:
+    """The whole of a text file, which must be UTF-8 (GraphFormatError)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path}: not UTF-8 text") from exc
+
+
 def load_attributes(path, n, *, text=None) -> AttributeAssignment:
     """Parse a "vertex group" file into a partition of [0, n).
 
@@ -320,10 +337,11 @@ def load_attributes(path, n, *, text=None) -> AttributeAssignment:
     already read (a pipe can be read only once); ``path`` then only names
     the file in error messages.
     """
+    if text is None:
+        text = read_text(path)
     labels = np.full(n, -1, dtype=np.int64)
     remap = {}
-    with (open(path, encoding="utf-8") if text is None
-          else io.StringIO(text)) as fh:
+    with io.StringIO(text) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from vacdks import AttributeAssignment, ConstraintSpec, WeightedGraph, lmo
 
@@ -18,6 +19,50 @@ def random_graph(rng, n, weighted=True, p=0.5, min_edges=0):
             break
     w = rng.uniform(0.05, 1.0, size=len(u)) if weighted else None
     return WeightedGraph.from_edges(n, u, v, w)
+
+
+def make_instance(n, edges, weights, labels, k, mins):
+    """(graph, spec) from an edge list, weights (None: unit) and labels."""
+    graph = WeightedGraph.from_edges(n, [a for a, _ in edges],
+                                     [b for _, b in edges], weights)
+    attr = AttributeAssignment.from_labels(np.array(labels, dtype=np.int64),
+                                           r=len(mins))
+    return graph, ConstraintSpec(k=k, mins=tuple(mins), attr=attr)
+
+
+@st.composite
+def small_instances(draw, max_n=16):
+    """A small graph of one weight kind and a spec over a random partition.
+
+    Integer weights in {1, 2, 3} make degree ties common. Each group's
+    minimum is 0, its largest allowed value (the group is frozen from the
+    start when that is all of it) or anything in between.
+    """
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    kind = draw(st.sampled_from(["unweighted", "integer", "float"]))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    edges = [pair for pair, kept in zip(pairs, keep) if kept]
+    weights = None
+    if kind != "unweighted":
+        weight = (st.integers(min_value=1, max_value=3).map(float)
+                  if kind == "integer"
+                  else st.floats(min_value=0.01, max_value=100.0))
+        weights = draw(st.lists(weight, min_size=len(edges),
+                                max_size=len(edges)))
+    r = draw(st.integers(min_value=1, max_value=min(3, n)))
+    labels = draw(st.lists(st.integers(min_value=0, max_value=r - 1),
+                           min_size=n, max_size=n))
+    k = draw(st.integers(min_value=1, max_value=n))
+    mins, budget = [], k
+    for i in range(r):
+        cap = min(labels.count(i), budget)
+        ki = draw(st.one_of(st.just(0), st.just(cap),
+                            st.integers(min_value=0, max_value=cap)))
+        mins.append(ki)
+        budget -= ki
+    return make_instance(n, edges, weights, labels, k, mins)
 
 
 def two_triangles():

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings
-from hypothesis import strategies as st
 
 from vacdks import (
     AttributeAssignment,
@@ -16,7 +15,13 @@ from vacdks import (
     lrbo_rank1,
 )
 
-from conftest import enumerate_feasible, random_graph, random_spec
+from conftest import (
+    enumerate_feasible,
+    make_instance,
+    random_graph,
+    random_spec,
+    small_instances,
+)
 
 
 def peel_reference(graph, spec):
@@ -36,49 +41,6 @@ def peel_reference(graph, spec):
         for u in alive:
             deg[u] -= adj[best, u]
     return np.array(sorted(alive))
-
-
-def _instance(n, edges, weights, labels, k, mins):
-    graph = WeightedGraph.from_edges(n, [a for a, _ in edges],
-                                     [b for _, b in edges], weights)
-    attr = AttributeAssignment.from_labels(np.array(labels, dtype=np.int64),
-                                           r=len(mins))
-    return graph, ConstraintSpec(k=k, mins=tuple(mins), attr=attr)
-
-
-@st.composite
-def peel_instances(draw):
-    """A small graph of one weight kind and a spec over a random partition.
-
-    Integer weights in {1, 2, 3} make degree ties common. Each group's
-    minimum is 0, its largest allowed value (the group is frozen from the
-    start when that is all of it) or anything in between.
-    """
-    n = draw(st.integers(min_value=1, max_value=16))
-    kind = draw(st.sampled_from(["unweighted", "integer", "float"]))
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
-                         max_size=len(pairs)))
-    edges = [pair for pair, kept in zip(pairs, keep) if kept]
-    weights = None
-    if kind != "unweighted":
-        weight = (st.integers(min_value=1, max_value=3).map(float)
-                  if kind == "integer"
-                  else st.floats(min_value=0.01, max_value=100.0))
-        weights = draw(st.lists(weight, min_size=len(edges),
-                                max_size=len(edges)))
-    r = draw(st.integers(min_value=1, max_value=min(3, n)))
-    labels = draw(st.lists(st.integers(min_value=0, max_value=r - 1),
-                           min_size=n, max_size=n))
-    k = draw(st.integers(min_value=1, max_value=n))
-    mins, budget = [], k
-    for i in range(r):
-        cap = min(labels.count(i), budget)
-        ki = draw(st.one_of(st.just(0), st.just(cap),
-                            st.integers(min_value=0, max_value=cap)))
-        mins.append(ki)
-        budget -= ki
-    return _instance(n, edges, weights, labels, k, mins)
 
 
 class TestGreedyPeel:
@@ -108,15 +70,16 @@ class TestGreedyPeel:
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(peel_instances())
+    @given(small_instances())
     # group 1 ({4}) frozen from the start
-    @example(_instance(5, [(0, 1), (1, 2), (2, 3)], None, [0, 0, 0, 0, 1],
-                       3, [0, 1]))
+    @example(make_instance(5, [(0, 1), (1, 2), (2, 3)], None, [0, 0, 0, 0, 1],
+                           3, [0, 1]))
     # group 0 freezes after two removals; ties among integer weights
-    @example(_instance(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 5)],
-                       [2.0, 1.0, 1.0, 2.0, 1.0], [0, 0, 0, 0, 1, 1], 3, [2, 0]))
+    @example(make_instance(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 5)],
+                           [2.0, 1.0, 1.0, 2.0, 1.0], [0, 0, 0, 0, 1, 1], 3,
+                           [2, 0]))
     # k = n: nothing is removed
-    @example(_instance(4, [(0, 1)], [0.5], [0, 1, 0, 1], 4, [1, 1]))
+    @example(make_instance(4, [(0, 1)], [0.5], [0, 1, 0, 1], 4, [1, 1]))
     def test_matches_reference_property(self, instance):
         graph, spec = instance
         sel = greedy_peel(graph, spec)

@@ -1,13 +1,25 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
-from vacdks import FwConfig, cli, graph
+from vacdks import (
+    ConstraintSpec,
+    FwConfig,
+    cli,
+    graph,
+    induced_weight,
+    is_feasible_binary,
+)
 from vacdks.cli import main
+
+from conftest import small_instances
 
 
 @pytest.fixture
@@ -34,6 +46,18 @@ def solve_args(inst, method, *extra):
     return ["solve", method, "--edges", str(inst / "edges.tsv"),
             "--attrs", str(inst / "attrs.tsv"), "--k", "9",
             "--min-all", "3", *extra]
+
+
+def test_import_leaves_out_heavy_scipy_modules():
+    """scipy.linalg and scipy.sparse.linalg cost ~7 and ~10 MB of RSS."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, vacdks.cli; print(sorted(m for m in "
+            "('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestGenerate:
@@ -117,6 +141,15 @@ class TestSolve:
         with pytest.raises(SystemExit) as exc:
             main(solve_args(instance_dir, "magic"))
         assert exc.value.code == 1
+
+    def test_non_utf8_attrs_exit_2(self, instance_dir, tmp_path, capsys):
+        bad = tmp_path / "attrs.tsv"
+        bad.write_bytes((instance_dir / "attrs.tsv").read_bytes() + b"\xff\n")
+        args = solve_args(instance_dir, "peel")
+        args[args.index("--attrs") + 1] = str(bad)
+        assert main(args) == 2
+        assert (f"vacdks: GraphFormatError: {bad}: not UTF-8 text"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("flags", BAD_SOLVER_FLAGS, ids="=".join)
     def test_bad_solver_flags_exit_1(self, instance_dir, flags, capsys):
@@ -205,6 +238,23 @@ class TestBound:
         assert json.loads(piped.out) == json.loads(capsys.readouterr().out)
 
 
+class TestRunMethod:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(small_instances(max_n=8).filter(lambda inst: inst[0].m > 0))
+    def test_every_method_is_feasible(self, instance):
+        g, spec = instance
+        weight = {}
+        for method in cli.METHODS:
+            sel, _ = cli._run_method(method, g, spec, FwConfig())
+            ids = sel.tolist()
+            assert ids == sorted(set(ids)), method
+            assert is_feasible_binary(spec, sel), method
+            weight[method] = induced_weight(g, sel)
+        # fw+peel starts FW at peel's set and FW and rounding never lose weight
+        assert weight["fw+peel"] >= weight["peel"] * (1.0 - 1e-9)
+
+
 class TestBench:
     def test_campaign_outputs(self, tmp_path, capsys):
         out = tmp_path / "bench"
@@ -263,14 +313,58 @@ class TestBench:
             return solve(*args)
 
         monkeypatch.setattr(graph, "dominant_eigenpair", counting)
-        payload = {"method": "fw", "k": 6, "mins": [2, 2, 2],
-                   "generator": dict(n=60, p=0.1, k=6, r=3, weighted=False,
-                                     seed=0),
+        generator = dict(n=60, p=0.1, k=6, r=3, weighted=False, seed=0)
+        g, attr, planted = graph.generate_planted_clique(
+            graph.PlantedCliqueConfig(**generator))
+        spec = ConstraintSpec(k=6, mins=(2, 2, 2), attr=attr)
+        payload = {"method": "fw", "graph": g, "spec": spec,
+                   "planted": planted, "generator": generator,
                    "fw_cfg": FwConfig()}
         record = cli._bench_run(payload)
-        # one eigen-solve in the warm-up, one in the timed run
-        assert len(calls) == 2
+        # the timed run is the only solve, and it computes the eigenpair
+        assert len(calls) == 1
         assert record["iterations"] >= 1
+
+    def test_each_seed_generated_once(self, tmp_path, monkeypatch):
+        seeds = []
+        generate = cli.generate_planted_clique
+
+        def counting(cfg):
+            seeds.append(cfg.seed)
+            return generate(cfg)
+
+        monkeypatch.setattr(cli, "generate_planted_clique", counting)
+        out = tmp_path / "bench"
+        rc = main(["bench", "--methods", "peel,lrbo", "--n", "60",
+                   "--p", "0.1", "--k", "4", "--r", "2", "--seeds", "2",
+                   "--out", str(out)])
+        assert rc == 0
+        assert seeds == [0, 1]
+        with open(out / "runs.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["method"], r["seed"], r["error"]) for r in rows] == [
+            ("peel", "0", ""), ("peel", "1", ""),
+            ("lrbo", "0", ""), ("lrbo", "1", "")]
+
+    def test_seed_that_cannot_be_generated_fails_its_runs(self, tmp_path):
+        # n=8, k=6, r=3: seed 0 leaves group 2 one vertex short, seed 1 is fine
+        with pytest.raises(ValueError) as exc:
+            graph.generate_planted_clique(graph.PlantedCliqueConfig(
+                n=8, p=0.3, k=6, r=3, seed=0))
+        message = f"ValueError: {exc.value}"
+        out = tmp_path / "bench"
+        rc = main(["bench", "--methods", "peel,fw", "--n", "8", "--p", "0.3",
+                   "--k", "6", "--r", "3", "--seeds", "2", "--min-all", "2",
+                   "--out", str(out)])
+        assert rc == 0
+        with open(out / "runs.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["method"], r["seed"], r["error"]) for r in rows] == [
+            ("peel", "0", message), ("peel", "1", ""),
+            ("fw", "0", message), ("fw", "1", "")]
+        assert rows[1]["recovery"] == rows[3]["recovery"] == "True"
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["fw"]["failures"] == summary["peel"]["failures"] == 1
 
     def test_unknown_method_exit_1(self, tmp_path):
         rc = main(["bench", "--methods", "nope", "--n", "40", "--p", "0.1",

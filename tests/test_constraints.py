@@ -57,6 +57,21 @@ class TestValidate:
         with pytest.raises(ConstraintError, match="attributes cover"):
             validate(make_spec([0, 1, 0], 2, [1, 1]), graph=g)
 
+    @pytest.mark.parametrize("k, mins, name", [
+        (2.5, (1, 1), "k"),
+        (3, (1.7, 1), "k_0"),
+        (3, (float("nan"), 1), "k_0"),
+    ], ids=["k=2.5", "k_0=1.7", "k_0=nan"])
+    def test_rejects_non_integer_sizes(self, k, mins, name):
+        with pytest.raises(ConstraintError, match=f"{name}=.* not an integer"):
+            make_spec([0, 0, 1, 1], k, mins)
+
+    def test_numpy_integer_sizes_accepted(self):
+        spec = make_spec([0, 0, 1, 1], np.int64(3), np.array([1, 1]))
+        validate(spec)
+        assert spec.mins == (1, 1)
+        assert all(type(ki) is int for ki in spec.mins)
+
 
 class TestFeasibility:
     spec = make_spec([0, 0, 1, 1, 1], 3, [1, 1])

@@ -75,6 +75,18 @@ class TestLoadEdgeList:
         with pytest.raises(GraphFormatError, match=":1: expected 'u v'"):
             load_edge_list(write(tmp_path, "0 1 1.0 # heavy\n"))
 
+    @pytest.mark.parametrize("data", [
+        b"# n 3 \xff\n0 1 1.0\n",  # in the header the fast path reads
+        b"# n 3\n0 1 1.0\n1 2 \xff\n",  # in an edge line
+    ], ids=["header", "edge-line"])
+    def test_non_utf8_file(self, tmp_path, data):
+        path = tmp_path / "g.tsv"
+        path.write_bytes(data)
+        with pytest.raises(GraphFormatError, match="not UTF-8 text") as exc:
+            load_edge_list(path)
+        assert str(path) in str(exc.value)
+        assert isinstance(exc.value.__cause__, UnicodeDecodeError)
+
     def test_header_declares_isolated_vertices(self, tmp_path):
         g = load_edge_list(write(tmp_path, "# n 7\r\n0 1 1.0\r\n"))
         assert (g.n, g.m) == (7, 1)
@@ -104,6 +116,14 @@ class TestLoadAttributes:
     def test_out_of_range(self, tmp_path):
         with pytest.raises(GraphFormatError, match="out of range"):
             load_attributes(write(tmp_path, "0 0\n5 0\n"), 2)
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "a.tsv"
+        path.write_bytes(b"0 0\n1 \xff\n")
+        with pytest.raises(GraphFormatError, match="not UTF-8 text") as exc:
+            load_attributes(path, 2)
+        assert str(path) in str(exc.value)
+        assert isinstance(exc.value.__cause__, UnicodeDecodeError)
 
 
 class TestGenerator:
@@ -153,6 +173,19 @@ class TestGenerator:
             PlantedCliqueConfig(n=10, p=0.5, k=5, r=2)
         with pytest.raises(ValueError):
             PlantedCliqueConfig(n=10, p=1.5, k=4, r=2)
+
+    @pytest.mark.parametrize("sizes", [
+        dict(n=60, k=6.0, r=3), dict(n=60.5, k=6, r=3), dict(n=60, k=6, r=2.0),
+    ], ids=["k=6.0", "n=60.5", "r=2.0"])
+    def test_config_rejects_non_integer_sizes(self, sizes):
+        name = next(key for key, v in sizes.items() if isinstance(v, float))
+        with pytest.raises(ValueError, match=f"{name}=.* must be an integer"):
+            PlantedCliqueConfig(p=0.1, **sizes)
+
+    def test_config_accepts_numpy_integers(self):
+        cfg = PlantedCliqueConfig(n=np.int64(60), p=0.1, k=np.int32(6),
+                                  r=np.int64(3))
+        assert len(generate_planted_clique(cfg)[2]) == 6
 
 
 def test_round_trip(tmp_path):
