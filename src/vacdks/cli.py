@@ -21,6 +21,7 @@ from .baselines import brute_force, greedy_peel, lrbo_rank1
 from .constraints import ConstraintSpec, is_feasible_binary, validate
 from .fw import FwConfig, solve_fw
 from .graph import (
+    GraphFormatError,
     PlantedCliqueConfig,
     generate_planted_clique,
     induced_weight,
@@ -184,14 +185,17 @@ def cmd_generate(args):
 
 def cmd_solve(args):
     fw_cfg = _fw_config(args)
+    planted = None
+    if args.planted:
+        tokens = read_text(args.planted).split()
+        try:
+            planted = [int(t) for t in tokens]
+        except ValueError as exc:
+            raise GraphFormatError(f"{args.planted}: {exc}") from exc
     graph, attr = _load_instance(args)
     mins = _resolve_mins(args, attr.r)
     spec = ConstraintSpec(k=args.k, mins=mins, attr=attr)
     validate(spec, graph)
-    planted = None
-    if args.planted:
-        with open(args.planted, encoding="utf-8") as fh:
-            planted = [int(t) for t in fh.read().split()]
     start = time.perf_counter()
     sel, iterations = _run_method(args.method, graph, spec, fw_cfg)
     wall = time.perf_counter() - start
@@ -296,6 +300,28 @@ def _summarize(records):
     return summary
 
 
+def _bench_seed(ctx, methods, generator, mins, fw_cfg):
+    """One seed's runs on one instance, which is freed when this returns."""
+    seed = generator["seed"]
+    try:
+        graph, attr, planted = generate_planted_clique(
+            PlantedCliqueConfig(**generator))
+        spec = ConstraintSpec(k=generator["k"], mins=mins, attr=attr)
+        validate(spec, graph)
+    except ValueError as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        return [{"method": m, "seed": seed, "error": error} for m in methods]
+    instance = {"graph": graph, "spec": spec, "planted": planted,
+                "generator": generator, "fw_cfg": fw_cfg}
+    records = []
+    for method in methods:
+        status, result = _run_isolated(ctx, {**instance, "method": method},
+                                       _BENCH_RUN_TIMEOUT_S)
+        records.append(result if status == "ok" else
+                       {"method": method, "seed": seed, "error": result})
+    return records
+
+
 def cmd_bench(args):
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
@@ -314,23 +340,8 @@ def cmd_bench(args):
     records = []
     ctx = multiprocessing.get_context("spawn")
     for seed in range(args.seeds):
-        try:
-            graph, attr, planted = generate_planted_clique(
-                PlantedCliqueConfig(**base, seed=seed))
-            spec = ConstraintSpec(k=args.k, mins=mins, attr=attr)
-            validate(spec, graph)
-        except ValueError as exc:
-            records += [{"method": method, "seed": seed,
-                         "error": f"{type(exc).__name__}: {exc}"}
-                        for method in methods]
-            continue
-        instance = {"graph": graph, "spec": spec, "planted": planted,
-                    "generator": {**base, "seed": seed}, "fw_cfg": fw_cfg}
-        for method in methods:
-            status, result = _run_isolated(ctx, {**instance, "method": method},
-                                           _BENCH_RUN_TIMEOUT_S)
-            records.append(result if status == "ok" else
-                           {"method": method, "seed": seed, "error": result})
+        records += _bench_seed(ctx, methods, {**base, "seed": seed}, mins,
+                               fw_cfg)
     records.sort(key=lambda rec: methods.index(rec["method"]))  # method-major
 
     fields = ["method", "seed", "objective", "normalized", "recovery",

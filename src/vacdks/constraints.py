@@ -170,46 +170,19 @@ def lmo(spec: ConstraintSpec, grad) -> np.ndarray:
     return selected.astype(np.float64)
 
 
-def _snap(x: np.ndarray) -> None:
-    near_zero = x < FRACTIONAL_TOL
-    near_one = x > 1.0 - FRACTIONAL_TOL
-    x[near_zero] = 0.0
-    x[near_one] = 1.0
-
-
-def _transfer(adj, lam, x, s, frac):
-    """One mass transfer between the extreme fractional entries in ``frac``.
-
-    Moves delta = min(x_l, 1-x_j) from the entry with the smallest
-    lam*x + s to the one with the largest (ties by lower id), which never
-    decreases g(x) = x^T (A + lam I) x when lam >= w_max. At least one of
-    the pair becomes integral.
-    """
-    key = lam * x[frac] + s[frac]
-    j = int(frac[np.argmax(key)])
-    l = int(frac[np.argmin(key)])
-    if j == l:
-        j, l = int(frac[0]), int(frac[1])
-    delta = min(x[l], 1.0 - x[j])
-    x[j] += delta
-    x[l] -= delta
-    for v, dv in ((j, delta), (l, -delta)):
-        row = slice(adj.indptr[v], adj.indptr[v + 1])
-        s[adj.indices[row]] += dv * adj.data[row]
-        if x[v] < FRACTIONAL_TOL:
-            x[v] = 0.0
-        elif x[v] > 1.0 - FRACTIONAL_TOL:
-            x[v] = 1.0
-
-
 def round_to_integral(graph: WeightedGraph, spec: ConstraintSpec, lam, x,
                       *, return_transfers=False):
     """Round a feasible fractional point to a feasible 0/1 indicator.
 
     Constructive two-phase procedure: first transfer mass between fractional
     entries inside each group, then across groups once every group has at
-    most one fractional entry. Requires lam >= w_max; the loaded objective
-    g(x) = x^T (A + lam I) x never decreases, and at most n transfers occur.
+    most one fractional entry. Each transfer moves delta = min(x_l, 1-x_j)
+    from the entry with the smallest lam*x + s to the one with the largest
+    (ties by lower id), where s = Ax. Requires lam >= w_max; the loaded
+    objective g(x) = x^T (A + lam I) x never decreases, and at most n
+    transfers occur, each costing O(|frac| + degree). The result is
+    feasible for every point check_fractional accepts while
+    SUM_TOL*k + 2n*FRACTIONAL_TOL < 1, which keeps the mass within 1 of k.
     """
     if not np.isfinite(lam):
         raise ConstraintError(f"diagonal loading {lam} is not finite")
@@ -218,32 +191,47 @@ def round_to_integral(graph: WeightedGraph, spec: ConstraintSpec, lam, x,
             f"diagonal loading {lam} below w_max={graph.w_max}")
     check_fractional(spec, x)
     x = np.clip(np.asarray(x, dtype=np.float64).copy(), 0.0, 1.0)
-    _snap(x)
-    s = graph.adj @ x
+    x[x < FRACTIONAL_TOL] = 0.0
+    x[x > 1.0 - FRACTIONAL_TOL] = 1.0
+    adj = graph.adj
+    s = adj @ x
     transfers = 0
 
-    # Within each group first, then across all vertices; after the last
-    # pass ``frac`` holds the fractional entries left anywhere.
-    for members in (*spec.attr.groups, np.arange(graph.n)):
-        while True:
-            frac = members[(x[members] > 0.0) & (x[members] < 1.0)]
-            if len(frac) < 2:
-                break
-            _transfer(graph.adj, lam, x, s, frac)
+    def settle(frac):
+        # A transfer makes at least one of its pair integral and leaves every
+        # other entry as it was, so ``frac`` only loses that pair's integrals.
+        nonlocal transfers
+        while len(frac) > 1:
+            key = lam * x[frac] + s[frac]
+            a, b = int(np.argmax(key)), int(np.argmin(key))
+            if a == b:
+                a, b = 0, 1
+            j, l = frac[a], frac[b]
+            delta = min(x[l], 1.0 - x[j])
+            for v, dv in ((j, delta), (l, -delta)):
+                x[v] += dv
+                row = slice(adj.indptr[v], adj.indptr[v + 1])
+                s[adj.indices[row]] += dv * adj.data[row]
+                if x[v] < FRACTIONAL_TOL:
+                    x[v] = 0.0
+                elif x[v] > 1.0 - FRACTIONAL_TOL:
+                    x[v] = 1.0
+            frac = np.delete(frac, [p for p in (a, b)
+                                    if x[frac[p]] in (0.0, 1.0)])
             transfers += 1
+        return frac
 
-    if len(frac) == 1:
-        # Input sum may sit within SUM_TOL of k; the drift ends up in one
-        # entry, which must then be within that slack of an integer.
-        v = int(frac[0])
-        nearest = float(round(x[v]))
-        if abs(x[v] - nearest) > SUM_TOL * max(1, spec.k):
-            raise AssertionError(
-                f"lone fractional entry {x[v]} cannot be snapped")
-        x[v] = nearest
-    out = (x > 0.5).astype(np.float64)
-    if int(out.sum()) != spec.k:
-        raise AssertionError("rounded point does not have exactly k ones")
+    for ki, members in zip(spec.mins, spec.attr.groups):
+        frac = settle(members[(x[members] > 0.0) & (x[members] < 1.0)])
+        # Short of k_i ones only by the mass the snaps dropped; raising an
+        # entry cannot lower g, as A + lam I and x are non-negative.
+        if len(frac) and np.count_nonzero(x[members] == 1.0) < ki:
+            x[frac] = 1.0
+    frac = settle(np.flatnonzero((x > 0.0) & (x < 1.0)))
+    out = (x == 1.0).astype(np.float64)
+    if len(frac):
+        # The mass is less than 1 away from k, so this is 0 or 1.
+        out[frac] = spec.k - out.sum()
     if return_transfers:
         return out, transfers
     return out

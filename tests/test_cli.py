@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -150,6 +151,23 @@ class TestSolve:
         assert main(args) == 2
         assert (f"vacdks: GraphFormatError: {bad}: not UTF-8 text"
                 in capsys.readouterr().err)
+
+    def test_non_utf8_planted_exit_2(self, instance_dir, tmp_path, capsys):
+        bad = tmp_path / "planted.txt"
+        bad.write_bytes(b"0 1\n\xff\n")
+        assert main(solve_args(instance_dir, "peel", "--planted",
+                               str(bad))) == 2
+        assert (f"vacdks: GraphFormatError: {bad}: not UTF-8 text"
+                in capsys.readouterr().err)
+
+    def test_non_integer_planted_exit_2(self, instance_dir, tmp_path, capsys):
+        bad = tmp_path / "planted.txt"
+        bad.write_text("0 1\n2.5\n", encoding="utf-8")
+        assert main(solve_args(instance_dir, "peel", "--planted",
+                               str(bad))) == 2
+        err = capsys.readouterr().err
+        assert f"vacdks: GraphFormatError: {bad}: " in err
+        assert "'2.5'" in err
 
     @pytest.mark.parametrize("flags", BAD_SOLVER_FLAGS, ids="=".join)
     def test_bad_solver_flags_exit_1(self, instance_dir, flags, capsys):
@@ -345,6 +363,30 @@ class TestBench:
         assert [(r["method"], r["seed"], r["error"]) for r in rows] == [
             ("peel", "0", ""), ("peel", "1", ""),
             ("lrbo", "0", ""), ("lrbo", "1", "")]
+
+    def test_previous_instance_freed_before_next_generation(self, tmp_path,
+                                                            monkeypatch):
+        graphs, alive = [], []
+        generate = cli.generate_planted_clique
+
+        def tracking(cfg):
+            alive.append([ref() is not None for ref in graphs])
+            g, attr, planted = generate(cfg)
+            graphs.append(weakref.ref(g))
+            return g, attr, planted
+
+        def fake_run(ctx, payload, timeout):
+            return "ok", {"method": payload["method"],
+                          "seed": payload["generator"]["seed"],
+                          "normalized": 1.0, "wall_seconds": 0.0}
+
+        monkeypatch.setattr(cli, "generate_planted_clique", tracking)
+        monkeypatch.setattr(cli, "_run_isolated", fake_run)
+        rc = main(["bench", "--methods", "peel,lrbo", "--n", "60",
+                   "--p", "0.1", "--k", "4", "--r", "2", "--seeds", "3",
+                   "--out", str(tmp_path / "bench")])
+        assert rc == 0
+        assert alive == [[], [False], [False, False]]
 
     def test_seed_that_cannot_be_generated_fails_its_runs(self, tmp_path):
         # n=8, k=6, r=3: seed 0 leaves group 2 one vertex short, seed 1 is fine

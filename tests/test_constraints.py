@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +19,7 @@ from vacdks import (
     round_to_integral,
     validate,
 )
+from vacdks.constraints import FRACTIONAL_TOL, SUM_TOL
 from vacdks.fw import objective_g
 
 from conftest import (
@@ -24,6 +28,7 @@ from conftest import (
     random_fractional,
     random_graph,
     random_spec,
+    small_instances,
 )
 
 
@@ -236,6 +241,149 @@ class TestLmoAgainstArgsort:
         np.testing.assert_array_equal(lmo(spec, grad), lmo_reference(spec, grad))
 
 
+# The rounding as it was before transfers kept a shrinking fractional set:
+# it rescans the group, or all n vertices, before every transfer. It is
+# correct on points with no entry within FRACTIONAL_TOL of {0, 1} but off it.
+def _snap(x: np.ndarray) -> None:
+    near_zero = x < FRACTIONAL_TOL
+    near_one = x > 1.0 - FRACTIONAL_TOL
+    x[near_zero] = 0.0
+    x[near_one] = 1.0
+
+
+def _transfer(adj, lam, x, s, frac):
+    """One mass transfer between the extreme fractional entries in ``frac``.
+
+    Moves delta = min(x_l, 1-x_j) from the entry with the smallest
+    lam*x + s to the one with the largest (ties by lower id), which never
+    decreases g(x) = x^T (A + lam I) x when lam >= w_max. At least one of
+    the pair becomes integral.
+    """
+    key = lam * x[frac] + s[frac]
+    j = int(frac[np.argmax(key)])
+    l = int(frac[np.argmin(key)])
+    if j == l:
+        j, l = int(frac[0]), int(frac[1])
+    delta = min(x[l], 1.0 - x[j])
+    x[j] += delta
+    x[l] -= delta
+    for v, dv in ((j, delta), (l, -delta)):
+        row = slice(adj.indptr[v], adj.indptr[v + 1])
+        s[adj.indices[row]] += dv * adj.data[row]
+        if x[v] < FRACTIONAL_TOL:
+            x[v] = 0.0
+        elif x[v] > 1.0 - FRACTIONAL_TOL:
+            x[v] = 1.0
+
+
+def round_reference(graph: WeightedGraph, spec: ConstraintSpec, lam, x,
+                    *, return_transfers=False):
+    """Round a feasible fractional point to a feasible 0/1 indicator.
+
+    Constructive two-phase procedure: first transfer mass between fractional
+    entries inside each group, then across groups once every group has at
+    most one fractional entry. Requires lam >= w_max; the loaded objective
+    g(x) = x^T (A + lam I) x never decreases, and at most n transfers occur.
+    """
+    if not np.isfinite(lam):
+        raise ConstraintError(f"diagonal loading {lam} is not finite")
+    if lam < graph.w_max - 1e-12:
+        raise ConstraintError(
+            f"diagonal loading {lam} below w_max={graph.w_max}")
+    check_fractional(spec, x)
+    x = np.clip(np.asarray(x, dtype=np.float64).copy(), 0.0, 1.0)
+    _snap(x)
+    s = graph.adj @ x
+    transfers = 0
+
+    # Within each group first, then across all vertices; after the last
+    # pass ``frac`` holds the fractional entries left anywhere.
+    for members in (*spec.attr.groups, np.arange(graph.n)):
+        while True:
+            frac = members[(x[members] > 0.0) & (x[members] < 1.0)]
+            if len(frac) < 2:
+                break
+            _transfer(graph.adj, lam, x, s, frac)
+            transfers += 1
+
+    if len(frac) == 1:
+        # Input sum may sit within SUM_TOL of k; the drift ends up in one
+        # entry, which must then be within that slack of an integer.
+        v = int(frac[0])
+        nearest = float(round(x[v]))
+        if abs(x[v] - nearest) > SUM_TOL * max(1, spec.k):
+            raise AssertionError(
+                f"lone fractional entry {x[v]} cannot be snapped")
+        x[v] = nearest
+    out = (x > 0.5).astype(np.float64)
+    if int(out.sum()) != spec.k:
+        raise AssertionError("rounded point does not have exactly k ones")
+    if return_transfers:
+        return out, transfers
+    return out
+
+
+@st.composite
+def rounding_instances(draw):
+    """A small instance, a loading lam >= w_max and a feasible point.
+
+    The point is a convex combination, with integer weights, of LMO vertices
+    along tie-heavy directions and, when drawn, ``init_uniform``. Its entries
+    are 0, 1 or far from both, so rounding drops no mass when it snaps.
+    """
+    graph, spec = draw(small_instances())
+    direction = st.lists(st.integers(min_value=-2, max_value=2).map(float),
+                         min_size=spec.n, max_size=spec.n)
+    atoms = [lmo(spec, np.array(d))
+             for d in draw(st.lists(direction, min_size=1, max_size=4))]
+    if draw(st.booleans()):
+        atoms.append(init_uniform(spec))
+    weights = draw(st.lists(st.integers(min_value=1, max_value=100),
+                            min_size=len(atoms), max_size=len(atoms)))
+    x = sum(w * a for w, a in zip(weights, atoms)) / sum(weights)
+    lam = graph.w_max * draw(st.sampled_from([1.0, 1.5, 2.0]))
+    return graph, spec, lam, x
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Fail the test if the block is still running after ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except TimeoutError:
+        pytest.fail(f"no result within {seconds} s", pytrace=False)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestRoundingAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(rounding_instances())
+    # uniform start on a triangle plus two isolated vertices: key ties
+    @example((WeightedGraph.from_edges(5, [0, 1, 0], [1, 2, 2]),
+              make_spec([0, 0, 0, 1, 1], 3, [2, 1]), 1.0,
+              np.array([2 / 3, 2 / 3, 2 / 3, 0.5, 0.5])))
+    def test_same_transfers_and_result(self, instance):
+        graph, spec, lam, x = instance
+        with _time_limit(2):  # a loop that makes no progress fails here
+            y, transfers = round_to_integral(graph, spec, lam, x,
+                                             return_transfers=True)
+        y_ref, transfers_ref = round_reference(graph, spec, lam, x,
+                                               return_transfers=True)
+        assert y.dtype == y_ref.dtype
+        assert y.tobytes() == y_ref.tobytes(), (y, y_ref)
+        assert transfers == transfers_ref
+        assert is_feasible_binary(spec, np.flatnonzero(y))
+        g_in = dense_g(graph, lam, x)
+        assert dense_g(graph, lam, y) >= g_in - 1e-9 * abs(g_in)
+        assert transfers <= spec.n
+
+
 class TestRounding:
     def test_already_integral_is_fixed_point(self, rng):
         g = random_graph(rng, 8)
@@ -297,6 +445,33 @@ class TestRounding:
         assert is_feasible_binary(spec, np.flatnonzero(y > 0.5))
         # two triangle vertices plus one forced group-1 vertex is optimal
         assert objective_g(g, 1.0, y) == pytest.approx(2 * 1.0 + 3.0)
+
+    def test_lone_entry_far_from_integer_takes_the_missing_mass(self):
+        # The snap drops 4998 * 9e-10 of mass, which leaves vertex 1 at
+        # 1 - 3e-6 as the last fractional entry: more than SUM_TOL * k from 1.
+        n = 5000
+        g = WeightedGraph.from_edges(n, [0], [1])
+        spec = make_spec(np.zeros(n, dtype=np.int64), 2, [0])
+        x = np.full(n, 9e-10)
+        x[0], x[1] = 1.0, 1.0 - 3e-6
+        check_fractional(spec, x)
+        y = round_to_integral(g, spec, g.w_max, x)
+        assert np.flatnonzero(y).tolist() == [0, 1]
+
+    def test_group_short_by_snapped_mass_keeps_its_minimum(self):
+        # Group 0 holds its one unit as 1 - 1e-5 on vertex 0 plus 11 000
+        # entries of 9.5e-10 that the snap drops; vertex 15 000, whose
+        # neighbours are all at 1, would draw vertex 0's mass across groups.
+        n = 30_000
+        g = WeightedGraph.from_edges(n, [15_000] * 9, range(15_001, 15_010))
+        spec = make_spec(np.repeat([0, 1], 15_000), 10, [1, 0])
+        x = np.zeros(n)
+        x[0], x[1:11_001], x[15_000] = 1.0 - 1e-5, 9.5e-10, 5e-6
+        x[15_001:15_010] = 1.0
+        check_fractional(spec, x)
+        y = round_to_integral(g, spec, g.w_max, x)
+        assert is_feasible_binary(spec, np.flatnonzero(y))
+        assert np.flatnonzero(y).tolist() == [0, *range(15_001, 15_010)]
 
 
 def test_lmo_weights_all_negative_still_selects_k(rng):
