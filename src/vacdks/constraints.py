@@ -15,9 +15,12 @@ import numpy as np
 
 from .graph import AttributeAssignment, WeightedGraph, _vertex_ids
 
-# Feasibility tolerances for fractional points (floating-point slack).
+# Feasibility tolerances for fractional points (floating-point slack). The
+# mass slack SUM_TOL*k is capped at SUM_SLACK_MAX, well below 1/2, so that no
+# accepted point is a whole unit of mass away from k.
 BOX_TOL = 1e-9
 SUM_TOL = 1e-6
+SUM_SLACK_MAX = 0.25
 GROUP_TOL = 1e-9
 # Entries within FRACTIONAL_TOL of {0, 1} are snapped before rounding.
 FRACTIONAL_TOL = 1e-9
@@ -93,7 +96,7 @@ def check_fractional(spec: ConstraintSpec, x) -> None:
     if x.min() < -BOX_TOL or x.max() > 1.0 + BOX_TOL:
         raise ConstraintError("point leaves the unit box")
     total = x.sum()
-    if abs(total - spec.k) > SUM_TOL * spec.k:
+    if abs(total - spec.k) > min(SUM_TOL * spec.k, SUM_SLACK_MAX):
         raise ConstraintError(f"point mass {total} != k={spec.k}")
     for i, (ki, members) in enumerate(zip(spec.mins, spec.attr.groups)):
         if ki and x[members].sum() < ki - GROUP_TOL:
@@ -182,7 +185,8 @@ def round_to_integral(graph: WeightedGraph, spec: ConstraintSpec, lam, x,
     objective g(x) = x^T (A + lam I) x never decreases, and at most n
     transfers occur, each costing O(|frac| + degree). The result is
     feasible for every point check_fractional accepts while
-    SUM_TOL*k + 2n*FRACTIONAL_TOL < 1, which keeps the mass within 1 of k.
+    min(SUM_TOL*k, SUM_SLACK_MAX) + 2n*FRACTIONAL_TOL < 1, which keeps the
+    mass within 1 of k.
     """
     if not np.isfinite(lam):
         raise ConstraintError(f"diagonal loading {lam} is not finite")

@@ -1,7 +1,8 @@
 """Seeded power iteration and Lanczos on sparse symmetric operators.
 
 Both stop on a relative eigen-residual: the power loop on ||Av - ray*v||,
-Lanczos on the Ritz residual of its extreme Ritz values.
+Lanczos on the Ritz residual of its extreme Ritz values. The spectral
+radius bound certifies the power loop's eigenvalue from above.
 """
 
 from __future__ import annotations
@@ -67,20 +68,35 @@ def dominant_eigenpair(adj, w_max):
     return ray - shift, vec, residual
 
 
-def second_singular_value(adj, eig1, v1):
-    """Second-largest singular value via single deflation and Lanczos.
+def spectral_radius_bound(adj, v):
+    """Upper bound on the spectral radius of a non-negative symmetric matrix.
 
-    Runs Lanczos without reorthogonalization, from a seeded unit start, on
-    the deflated operator M = A - eig1*v1*v1^T, whose norm is sigma_2 when
-    (eig1, v1) is the dominant eigenpair. Each extreme Ritz value theta of
-    the tridiagonal T_j is padded by its Ritz residual beta_j*|e_j^T y|
-    (Parlett, The Symmetric Eigenvalue Problem, ch. 13). The run stops once
-    the larger padded |theta| exceeds the largest |theta| by at most
-    ``SIGMA2_TOL`` relative, or after ``SIGMA2_MAX_STEPS`` steps, and
-    returns that padded value. It bounds ||M|| from above unless the start
-    vector misses the top of the spectrum, which a random start does with
-    small probability (Kuczynski & Wozniakowski, SIAM J. Matrix Anal. Appl.
-    13(4), 1992).
+    The smaller of the largest weighted degree and the Collatz-Wielandt
+    ratio max_i (A|v|)_i / |v|_i, both valid for any non-negative A; the
+    ratio costs one matvec and is tight when v is the Perron vector. A row
+    with |v|_i = 0 counts as 0 when it is empty and as +inf otherwise (a
+    component on which v vanishes may carry the spectral radius), so the
+    degree bound then decides.
+    """
+    x = np.abs(v)
+    ax = adj @ x
+    ratio = np.divide(ax, x, out=np.full(len(x), np.inf), where=x > 0)
+    ratio[np.diff(adj.indptr) == 0] = 0.0
+    degree = np.asarray(adj.sum(axis=1)).ravel()
+    return float(min(ratio.max(initial=0.0), degree.max(initial=0.0)))
+
+
+def _lanczos_sigma2(adj, eig1, v1):
+    """Lanczos on M = A - eig1*v1*v1^T: yields (max |theta|, padded |theta|).
+
+    Runs without reorthogonalization from a seeded unit start, so every run
+    on the same operator replays the same steps. At each step, the larger
+    |theta| of the two extreme Ritz values of the tridiagonal T_j is a lower
+    estimate of ||M||, and the larger of them padded by its Ritz residual
+    beta_j*|e_j^T y| an upper one (Parlett, The Symmetric Eigenvalue
+    Problem, ch. 13). The run ends once the padded value exceeds the
+    largest |theta| by at most ``SIGMA2_TOL`` relative, or after
+    ``SIGMA2_MAX_STEPS`` steps.
     """
     n = adj.shape[0]
     q = np.random.default_rng(1).standard_normal(n)
@@ -97,9 +113,25 @@ def second_singular_value(adj, eig1, v1):
         t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
         theta, y = np.linalg.eigh(t)
         ends = np.abs(theta[[0, -1]])
-        sigma2 = float(np.max(ends + beta * np.abs(y[-1, [0, -1]])))
-        if sigma2 <= (1.0 + SIGMA2_TOL) * ends.max():
-            break
+        top = float(ends.max())
+        padded = float(np.max(ends + beta * np.abs(y[-1, [0, -1]])))
+        yield top, padded
+        if padded <= (1.0 + SIGMA2_TOL) * top:
+            return
         betas.append(beta)
         q_prev, q = q, w / beta
+
+
+def second_singular_value(adj, eig1, v1):
+    """Second-largest singular value via single deflation and Lanczos.
+
+    Runs :func:`_lanczos_sigma2` on the deflated operator
+    M = A - eig1*v1*v1^T, whose norm is sigma_2 when (eig1, v1) is the
+    dominant eigenpair, and returns the last padded |theta|. It bounds
+    ||M|| from above unless the start vector misses the top of the
+    spectrum, which a random start does with small probability (Kuczynski
+    & Wozniakowski, SIAM J. Matrix Anal. Appl. 13(4), 1992).
+    """
+    for _, sigma2 in _lanczos_sigma2(adj, eig1, v1):
+        pass
     return sigma2

@@ -1,4 +1,5 @@
 import contextlib
+import math
 import signal
 
 import numpy as np
@@ -109,6 +110,17 @@ class TestFeasibility:
         with pytest.raises(ConstraintError, match="mass"):
             check_fractional(self.spec, np.array([1.0, 0, 1, 0, 0]))
 
+    def test_mass_slack_stays_below_one_unit(self):
+        # SUM_TOL * k reaches 1 at k = 10^6: all ones but one zero would pass
+        # as mass k, and rounding would return 999 999 ones.
+        n = 10**6
+        g = WeightedGraph.from_edges(n, [], [])
+        spec = make_spec(np.zeros(n, dtype=np.int64), n, [0])
+        x = np.ones(n)
+        x[0] = 0.0
+        with pytest.raises(ConstraintError, match="mass"):
+            round_to_integral(g, spec, g.w_max, x)
+
     def test_fractional_group_violation(self):
         with pytest.raises(ConstraintError, match="group 0"):
             check_fractional(self.spec, np.array([0.25, 0.25, 1, 1, 0.5]))
@@ -152,6 +164,30 @@ class TestInitUniform:
             assert abs(x.sum() - spec.k) < 1e-9 * spec.k
 
 
+@st.composite
+def lmo_instances(draw, max_n=24):
+    """A spec plus a tie-heavy gradient.
+
+    Group minimums are often 0 or the whole group, and k is often the sum
+    of the minimums, which leaves nothing to the global top-up.
+    """
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    r = draw(st.integers(min_value=1, max_value=min(3, n)))
+    labels = draw(st.lists(st.integers(min_value=0, max_value=r - 1),
+                           min_size=n, max_size=n))
+    attr = AttributeAssignment.from_labels(np.asarray(labels), r=r)
+    mins = [draw(st.one_of(st.just(0), st.just(len(members)),
+                           st.integers(min_value=0, max_value=len(members))))
+            for members in attr.groups]
+    low = max(sum(mins), 1)
+    k = draw(st.one_of(st.just(low), st.integers(min_value=low, max_value=n)))
+    entry = st.one_of(st.integers(min_value=-2, max_value=2).map(float),
+                      st.sampled_from([-0.0, 0.0]),
+                      st.floats(min_value=-4.0, max_value=4.0))
+    grad = draw(st.lists(entry, min_size=n, max_size=n))
+    return ConstraintSpec(k=k, mins=tuple(mins), attr=attr), np.array(grad)
+
+
 class TestLmo:
     def test_small_example(self):
         spec = make_spec([0, 0, 1, 1], 3, [1, 1])
@@ -169,15 +205,15 @@ class TestLmo:
         v = lmo(spec, np.array([9.0, 8.0, 1.0, 0.5]))
         np.testing.assert_array_equal(v, [1, 0, 1, 0])
 
-    def test_matches_exhaustive_oracle(self, rng):
-        for _ in range(60):
-            n = int(rng.integers(3, 10))
-            spec = random_spec(rng, n)
-            grad = rng.normal(size=n)
-            v = lmo(spec, grad)
-            assert is_feasible_binary(spec, np.flatnonzero(v))
-            best = max(grad[list(s)].sum() for s in enumerate_feasible(spec))
-            assert grad @ v == pytest.approx(best, abs=1e-12)
+    @settings(max_examples=300, deadline=None)
+    @given(lmo_instances(max_n=10))
+    def test_matches_exhaustive_oracle(self, instance):
+        # fsum rounds each exact sum once, so equal sums compare equal
+        spec, grad = instance
+        v = lmo(spec, grad)
+        assert is_feasible_binary(spec, np.flatnonzero(v))
+        best = max(math.fsum(grad[s]) for s in enumerate_feasible(spec))
+        assert math.fsum(grad[v == 1.0]) == best
 
     def test_output_is_binary_with_k_ones(self, rng):
         spec = random_spec(rng, 12)
@@ -201,30 +237,6 @@ def lmo_reference(spec, grad):
     pool = np.flatnonzero(~selected)
     selected[_top_k_argsort(grad, pool, spec.k - spec.min_total)] = True
     return selected.astype(np.float64)
-
-
-@st.composite
-def lmo_instances(draw):
-    """A spec plus a tie-heavy gradient.
-
-    Group minimums are often 0 or the whole group, and k is often the sum
-    of the minimums, which leaves nothing to the global top-up.
-    """
-    n = draw(st.integers(min_value=1, max_value=24))
-    r = draw(st.integers(min_value=1, max_value=min(3, n)))
-    labels = draw(st.lists(st.integers(min_value=0, max_value=r - 1),
-                           min_size=n, max_size=n))
-    attr = AttributeAssignment.from_labels(np.asarray(labels), r=r)
-    mins = [draw(st.one_of(st.just(0), st.just(len(members)),
-                           st.integers(min_value=0, max_value=len(members))))
-            for members in attr.groups]
-    low = max(sum(mins), 1)
-    k = draw(st.one_of(st.just(low), st.integers(min_value=low, max_value=n)))
-    entry = st.one_of(st.integers(min_value=-2, max_value=2).map(float),
-                      st.sampled_from([-0.0, 0.0]),
-                      st.floats(min_value=-4.0, max_value=4.0))
-    grad = draw(st.lists(entry, min_size=n, max_size=n))
-    return ConstraintSpec(k=k, mins=tuple(mins), attr=attr), np.array(grad)
 
 
 class TestLmoAgainstArgsort:

@@ -1,9 +1,14 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vacdks import (
+    AttributeAssignment,
     GraphFormatError,
     PlantedCliqueConfig,
     WeightedGraph,
@@ -16,7 +21,7 @@ from vacdks import (
 )
 from vacdks.graph import _pairs_from_indices
 
-from conftest import graphs_equal
+from conftest import graphs_equal, small_instances
 
 
 def write(tmp_path, text, name="g.tsv"):
@@ -208,6 +213,28 @@ def test_attribute_round_trip(tmp_path):
     remap = {}
     densified = [remap.setdefault(int(g), len(remap)) for g in attr.labels]
     assert densified == attr2.labels.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_instances(max_n=12), st.integers(min_value=0, max_value=3))
+def test_save_load_round_trip_property(instance, isolated):
+    """Edges, weights and labels survive a save/load round trip, and so do
+    isolated trailing vertices, which only the "# n" header declares."""
+    g, spec = instance
+    g = WeightedGraph.from_edges(g.n + isolated, *g.edge_arrays())
+    labels = np.concatenate([spec.attr.labels,
+                             np.arange(isolated) % spec.attr.r])
+    attr = AttributeAssignment.from_labels(labels, r=spec.attr.r)
+    with tempfile.TemporaryDirectory() as d:
+        save_edge_list(g, Path(d, "edges.tsv"))
+        save_attributes(attr, Path(d, "attrs.tsv"))
+        g2 = load_edge_list(Path(d, "edges.tsv"))
+        attr2 = load_attributes(Path(d, "attrs.tsv"), g2.n)
+    assert graphs_equal(g, g2)
+    remap = {}
+    densified = [remap.setdefault(int(v), len(remap)) for v in labels]
+    assert attr2.labels.tolist() == densified
+    assert attr2.r == len(remap)
 
 
 class TestInducedWeight:

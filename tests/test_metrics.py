@@ -19,10 +19,13 @@ from vacdks import (
     solve_fw,
     upper_bound,
 )
-from vacdks import graph, spectral
-from vacdks.spectral import dominant_eigenpair, power_iteration, second_singular_value
+from vacdks import graph, metrics, spectral
+from vacdks.constraints import validate
+from vacdks.metrics import DEGENERATE_GAP
+from vacdks.spectral import (dominant_eigenpair, power_iteration,
+                             second_singular_value, spectral_radius_bound)
 
-from conftest import random_graph, random_spec, two_triangles
+from conftest import random_graph, random_spec, small_instances, two_triangles
 
 
 def complete_graph(k, weight=1.0):
@@ -182,6 +185,108 @@ class TestSpectral:
         d = np.concatenate([[3.0], -top * (1 - 0.5 * (k / n) ** 2)])
         s2 = second_singular_value(sparse.diags(d).tocsr(), 0.0, np.eye(n)[0])
         assert top <= s2 <= top * (1 + 1e-8)
+
+    def test_spectral_radius_bound_covers_dense(self, rng):
+        # several components, and isolated vertices, on which v1 may vanish
+        for i in range(40):
+            parts = [random_graph(rng, int(rng.integers(1, 15)),
+                                  weighted=bool(i % 2),
+                                  p=float(rng.uniform(0.1, 0.9))).adj
+                     for _ in range(int(rng.integers(1, 4)))]
+            isolated = int(rng.integers(0, 3))
+            adj = sparse.block_diag(
+                parts + [sparse.csr_matrix((isolated, isolated))]).tocsr()
+            g = WeightedGraph(adj=adj, w_max=float(adj.data.max(initial=0.0)))
+            a = adj.toarray()
+            dense = np.linalg.eigvalsh(a)[-1]
+            # any vector gives a bound; a rough one, a loose bound
+            for v in (g.eigenpair[1], rng.standard_normal(g.n)):
+                s1 = spectral_radius_bound(g.adj, v)
+                assert type(s1) is float
+                assert dense - 1e-12 * max(dense, 1.0) <= s1
+                assert s1 <= a.sum(axis=1).max() * (1 + 1e-12)
+
+    def test_spectral_radius_bound_when_vector_misses_the_top(self):
+        # K_4 (lambda 3) beside an edge (lambda 1) and an isolated vertex. A
+        # vector on the edge alone gives Collatz-Wielandt ratio 1 there; the
+        # K_4 rows, where it vanishes, must hand the bound to the degrees.
+        u, v = map(list, zip(*[(a, b) for a in range(4) for b in range(a + 1, 4)]))
+        g = WeightedGraph.from_edges(7, u + [4], v + [5])
+        on_edge = np.array([0, 0, 0, 0, 1, 1, 0]) / np.sqrt(2)
+        assert spectral_radius_bound(g.adj, on_edge) == 3.0
+        assert spectral_radius_bound(g.adj, g.eigenpair[1]) == \
+            pytest.approx(3.0, rel=1e-12)
+
+
+def upper_bound_reference(graph, spec):
+    """``upper_bound(...).to_dict()`` with sigma_2 always run to convergence.
+
+    The formula as it was before the Lanczos run could stop early, fed the
+    same certified sigma_1.
+    """
+    validate(spec, graph)
+    k, w_max = spec.k, graph.w_max
+    eig1, v1, residual = graph.eigenpair
+    sigma1 = spectral_radius_bound(graph.adj, v1)
+    sigma2 = second_singular_value(graph.adj, eig1, v1)
+    degenerate = (sigma1 - sigma2) < DEGENERATE_GAP * max(sigma1, 1e-300)
+    sigma2_eff = sigma2 + DEGENERATE_GAP * sigma1 if degenerate else sigma2
+    bilinear_value = lrbo_rank1(graph, spec)[2]
+    term_rank1 = (bilinear_value / (w_max * k * (k - 1))
+                  + sigma2_eff / (w_max * (k - 1)))
+    term_sigma1 = sigma1 / (w_max * (k - 1))
+    return {"term_trivial": 1.0, "term_rank1": term_rank1,
+            "term_sigma1": term_sigma1,
+            "bound": min(1.0, term_rank1, term_sigma1), "sigma1": sigma1,
+            "sigma2": sigma2, "bilinear_value": bilinear_value,
+            "degenerate_spectrum": degenerate, "power_residual": residual}
+
+
+@st.composite
+def near_rank_one_instances(draw):
+    """Complete graphs weighted scale*u_i*u_j, with k about half of n.
+
+    A is then close to rank one, so sigma_2 is small and the rank-1 term
+    decides the bound on about a tenth of them; on ``small_instances`` it
+    rarely does. The scale moves w_max, which the bound divides out.
+    """
+    n = draw(st.integers(min_value=6, max_value=16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = rng.uniform(0.05, 1.0, n) ** 0.5
+    scale = draw(st.sampled_from([0.5, 1.0, 4.0, 100.0]))
+    iu, iv = np.triu_indices(n, k=1)
+    g = WeightedGraph.from_edges(n, iu, iv, scale * u[iu] * u[iv])
+    attr = AttributeAssignment.from_labels(np.zeros(n, dtype=np.int64))
+    k = draw(st.integers(min_value=round(0.4 * n), max_value=round(0.75 * n)))
+    return g, ConstraintSpec(k=k, mins=(0,), attr=attr)
+
+
+class TestUpperBoundAgainstReference:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(small_instances().filter(lambda inst: inst[0].m > 0
+                                              and inst[1].k >= 2),
+                     near_rank_one_instances()))
+    def test_same_bound_and_record(self, instance):
+        g, spec = instance
+        ref = upper_bound_reference(g, spec)
+        rep = upper_bound(g, spec)
+        assert rep.bound == ref["bound"]
+        d = rep.to_dict()
+        assert list(d) == list(ref)
+        assert d == ref
+
+    def test_bound_alone_skips_the_full_sigma2(self, monkeypatch):
+        # min(1, term_sigma1) decides this bound after a few Lanczos steps
+        cfg = PlantedCliqueConfig(n=2000, p=0.02, k=12, r=3, seed=1)
+        g, attr, _ = generate_planted_clique(cfg)
+        spec = ConstraintSpec(k=12, mins=(4, 4, 4), attr=attr)
+        calls = counting(monkeypatch, second_singular_value, metrics)
+        rep = upper_bound(g, spec)
+        assert rep.bound == min(1.0, rep.term_sigma1) and not calls
+        assert rep.to_dict() == upper_bound_reference(g, spec)
+        rep.to_dict()
+        assert len(calls) == 1
 
 
 class TestUpperBound:
