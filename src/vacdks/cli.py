@@ -323,6 +323,8 @@ def _bench_seed(ctx, methods, generator, mins, fw_cfg):
 
 
 def cmd_bench(args):
+    if args.seeds < 1:
+        raise UsageError(f"--seeds={args.seeds} must be at least 1")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
         if m not in METHODS:

@@ -111,17 +111,15 @@ def solve_fw(graph: WeightedGraph, spec: ConstraintSpec, cfg: FwConfig = None,
         d = s - x
         gap = max(float(grad @ d), 0.0)
         dn2 = float(d @ d)
+        done = gap <= cfg.gap_tol * max(1.0, obj) or dn2 == 0.0
+        gamma = 0.0 if done else min(1.0, gap / (L * dn2))
         trace.iterations += 1
-        if gap <= cfg.gap_tol * max(1.0, obj) or dn2 == 0.0:
-            trace.objective.append(obj)
-            trace.gap.append(gap)
-            trace.step_size.append(0.0)
-            trace.converged = True
-            break
-        gamma = min(1.0, gap / (L * dn2))
         trace.objective.append(obj)
         trace.gap.append(gap)
         trace.step_size.append(gamma)
+        if done:
+            trace.converged = True
+            break
         x += gamma * d
         # s is a 0/1 vertex and A is symmetric, so A s is the sum of the
         # CSR rows of s's k ones: A x moves to (1 - gamma) A x + gamma A s.

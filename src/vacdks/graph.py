@@ -129,10 +129,12 @@ class PlantedCliqueConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n", "k", "r"):
+        for name in ("n", "k", "r", "seed"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name}={value!r} must be an integer")
+        if self.seed < 0:
+            raise ValueError(f"seed={self.seed} must be non-negative")
         if not 1 <= self.k <= self.n:
             raise ValueError(f"k={self.k} must be in [1, n={self.n}]")
         if self.r < 1 or self.k % self.r != 0:

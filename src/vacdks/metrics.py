@@ -12,8 +12,7 @@ from .baselines import lrbo_rank1
 from .constraints import ConstraintSpec, validate
 from .graph import (AttributeAssignment, WeightedGraph, _vertex_ids,
                     induced_weight)
-from .spectral import (_lanczos_sigma2, second_singular_value,
-                       spectral_radius_bound)
+from .spectral import _lanczos_sigma2, spectral_radius_bound
 
 # Relative spectral gap below which the sigma_2 estimate is considered
 # unreliable and the corresponding bound term is widened.
@@ -26,8 +25,8 @@ class BoundReport:
 
     ``term_rank1``, ``sigma2`` and ``degenerate_spectrum`` are resolved on
     first read and cached: ``bound`` may have been settled before sigma_2
-    converged, and then reading them, ``to_dict`` or ``==`` runs sigma_2 to
-    convergence.
+    converged, and then reading them, ``to_dict`` or ``==`` resumes the
+    suspended sigma_2 run from the step where it stopped.
     """
 
     term_trivial: float
@@ -108,10 +107,10 @@ def upper_bound(graph: WeightedGraph, spec: ConstraintSpec) -> BoundReport:
     graph's eigenpair serves sigma_2 and the bilinear value; sigma_1 is
     ``spectral_radius_bound``, never below the top eigenvalue.
 
-    sigma_2's Lanczos run stops early once the rank-1 term built from its
+    sigma_2's Lanczos run is suspended once the rank-1 term built from its
     largest |theta| (at most ||M||, so at most the converged sigma_2)
-    exceeds min(1, sigma_1 term): sigma_2 can then no longer decide the
-    bound.
+    exceeds min(1, sigma_1 term), so that sigma_2 cannot decide the bound;
+    the report resumes the run if a field needs sigma_2.
     """
     validate(spec, graph)
     k = spec.k
@@ -135,11 +134,11 @@ def upper_bound(graph: WeightedGraph, spec: ConstraintSpec) -> BoundReport:
                 + sigma2_eff / (w_max * (k - 1)))
         return term, sigma2, degenerate
 
-    for top, sigma2 in _lanczos_sigma2(graph.adj, eig1, v1):
+    lanczos = _lanczos_sigma2(graph.adj, eig1, v1)
+    for top, sigma2 in lanczos:
         if rank1(top)[0] > cap:
-            return BoundReport(
-                1.0, term_sigma1, cap, sigma1, bilinear_value, residual,
-                lambda: rank1(second_singular_value(graph.adj, eig1, v1)))
-    terms = rank1(sigma2)
-    return BoundReport(1.0, term_sigma1, min(cap, terms[0]), sigma1,
-                       bilinear_value, residual, lambda: terms)
+            break
+    return BoundReport(
+        1.0, term_sigma1, min(cap, rank1(sigma2)[0]), sigma1, bilinear_value,
+        residual, lambda: rank1(
+            functools.reduce(lambda _, step: step[1], lanczos, sigma2)))

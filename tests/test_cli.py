@@ -81,6 +81,13 @@ class TestGenerate:
                    "--r", "2", "--out", str(tmp_path / "x")])
         assert rc == 1
 
+    def test_negative_seed_exit_1(self, tmp_path, capsys):
+        rc = main(["generate", "--n", "10", "--p", "0.5", "--k", "4",
+                   "--r", "2", "--seed", "-1", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert "seed=-1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestSolve:
     @pytest.mark.parametrize("method", ["fw", "peel", "lrbo", "fw+peel"])
@@ -413,6 +420,15 @@ class TestBench:
                    "--k", "4", "--r", "2", "--seeds", "1",
                    "--out", str(tmp_path / "x")])
         assert rc == 1
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_seeds_below_one_exit_1(self, tmp_path, capsys, seeds):
+        rc = main(["bench", "--methods", "fw", "--n", "40", "--p", "0.1",
+                   "--k", "4", "--r", "2", "--seeds", seeds,
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert "--seeds" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("flags", BAD_SOLVER_FLAGS, ids="=".join)
     def test_bad_solver_flags_exit_1(self, tmp_path, monkeypatch, flags):

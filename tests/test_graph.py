@@ -187,10 +187,17 @@ class TestGenerator:
         with pytest.raises(ValueError, match=f"{name}=.* must be an integer"):
             PlantedCliqueConfig(p=0.1, **sizes)
 
+    @pytest.mark.parametrize("seed", [-1, 1.0, "3"], ids=repr)
+    def test_config_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="seed="):
+            PlantedCliqueConfig(n=60, p=0.1, k=6, r=3, seed=seed)
+
     def test_config_accepts_numpy_integers(self):
         cfg = PlantedCliqueConfig(n=np.int64(60), p=0.1, k=np.int32(6),
                                   r=np.int64(3))
         assert len(generate_planted_clique(cfg)[2]) == 6
+        assert PlantedCliqueConfig(n=60, p=0.1, k=6, r=3,
+                                   seed=np.uint32(4)).seed == 4
 
 
 def test_round_trip(tmp_path):

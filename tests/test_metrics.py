@@ -277,16 +277,31 @@ class TestUpperBoundAgainstReference:
         assert d == ref
 
     def test_bound_alone_skips_the_full_sigma2(self, monkeypatch):
-        # min(1, term_sigma1) decides this bound after a few Lanczos steps
+        # min(1, term_sigma1) decides this bound after a few Lanczos steps;
+        # the record then resumes that run, so a report takes the steps of
+        # one full run in all, in the same order.
         cfg = PlantedCliqueConfig(n=2000, p=0.02, k=12, r=3, seed=1)
         g, attr, _ = generate_planted_clique(cfg)
         spec = ConstraintSpec(k=12, mins=(4, 4, 4), attr=attr)
-        calls = counting(monkeypatch, second_singular_value, metrics)
+        ref = upper_bound_reference(g, spec)
+        run = spectral._lanczos_sigma2
+        full = list(run(g.adj, *g.eigenpair[:2]))
+        steps = []
+
+        def counting_run(*args):
+            for step in run(*args):
+                steps.append(step)
+                yield step
+
+        for mod in (metrics, spectral):
+            monkeypatch.setattr(mod, "_lanczos_sigma2", counting_run)
         rep = upper_bound(g, spec)
-        assert rep.bound == min(1.0, rep.term_sigma1) and not calls
-        assert rep.to_dict() == upper_bound_reference(g, spec)
+        assert rep.bound == min(1.0, rep.term_sigma1)
+        assert 0 < len(steps) < len(full)
+        assert rep.to_dict() == ref
+        assert steps == full
         rep.to_dict()
-        assert len(calls) == 1
+        assert steps == full
 
 
 class TestUpperBound:
