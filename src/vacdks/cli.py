@@ -192,6 +192,12 @@ def cmd_solve(args):
             planted = [int(t) for t in tokens]
         except ValueError as exc:
             raise GraphFormatError(f"{args.planted}: {exc}") from exc
+        seen = set()
+        for v in planted:
+            if v < 0 or v in seen:
+                kind = "negative" if v < 0 else "repeated"
+                raise GraphFormatError(f"{args.planted}: {kind} vertex id {v}")
+            seen.add(v)
     graph, attr = _load_instance(args)
     mins = _resolve_mins(args, attr.r)
     spec = ConstraintSpec(k=args.k, mins=mins, attr=attr)
@@ -326,6 +332,8 @@ def cmd_bench(args):
     if args.seeds < 1:
         raise UsageError(f"--seeds={args.seeds} must be at least 1")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise UsageError(f"--methods={args.methods!r} names no method")
     for m in methods:
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r}")

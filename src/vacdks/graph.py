@@ -154,14 +154,84 @@ def load_edge_list(path, unweighted_default=False, n=None) -> WeightedGraph:
     the same role. Comments take a whole line: "#" inside an edge line is an
     error. Malformed input raises :class:`GraphFormatError` naming the first
     bad line, or only the file when it is not UTF-8 text.
+
+    One loop reads the file line by line. At the first edge line it offers
+    the rest of the file to :func:`_numpy_parse`; where that declines, the
+    loop reads on from the same line.
     """
+    us, vs, ws = [], [], []
+    declared_n = 0
+    seen = {}
     try:
-        graph = _load_edge_list_fast(path, unweighted_default, n)
-        if graph is None:
-            graph = _load_edge_list_reference(path, unweighted_default, n)
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    header = line[1:].split()
+                    if len(header) == 2 and header[0] == "n":
+                        try:
+                            declared_n = int(header[1])
+                        except ValueError as exc:
+                            raise GraphFormatError(
+                                f"{path}:{lineno}: bad vertex count "
+                                f"{header[1]!r}") from exc
+                    continue
+                parts = line.split()
+                if not us:  # the first edge line
+                    graph = _numpy_parse(path, lineno, len(parts),
+                                         unweighted_default,
+                                         max(declared_n, n or 0))
+                    if graph is not None:
+                        return graph
+                if len(parts) not in (2, 3):
+                    raise GraphFormatError(
+                        f"{path}:{lineno}: expected 'u v' or 'u v w', "
+                        f"got {line!r}")
+                try:
+                    u, v = int(parts[0]), int(parts[1])
+                except ValueError as exc:
+                    raise GraphFormatError(
+                        f"{path}:{lineno}: non-integer vertex id") from exc
+                if u < 0 or v < 0:
+                    raise GraphFormatError(
+                        f"{path}:{lineno}: negative vertex id")
+                if u == v:
+                    raise GraphFormatError(
+                        f"{path}:{lineno}: self-loop on vertex {u}")
+                if len(parts) == 3:
+                    try:
+                        w = float(parts[2])
+                    except ValueError as exc:
+                        raise GraphFormatError(
+                            f"{path}:{lineno}: bad weight {parts[2]!r}") from exc
+                elif unweighted_default:
+                    w = 1.0
+                else:
+                    raise GraphFormatError(
+                        f"{path}:{lineno}: missing weight "
+                        "(use unweighted_default to assume 1)")
+                if not math.isfinite(w):
+                    raise GraphFormatError(
+                        f"{path}:{lineno}: non-finite weight {w}")
+                if w <= 0:
+                    raise GraphFormatError(
+                        f"{path}:{lineno}: non-positive weight {w}")
+                key = (min(u, v), max(u, v))
+                if key in seen:
+                    raise GraphFormatError(
+                        f"{path}:{lineno}: duplicate edge {key} "
+                        f"(first seen at line {seen[key]})")
+                seen[key] = lineno
+                us.append(u)
+                vs.append(v)
+                ws.append(w)
     except UnicodeDecodeError as exc:
         raise GraphFormatError(f"{path}: not UTF-8 text") from exc
-    return graph
+    inferred = max((max(us, default=-1), max(vs, default=-1))) + 1
+    n_final = max(inferred, declared_n, n or 0)
+    return WeightedGraph.from_edges(n_final, us, vs, ws)
 
 
 _EDGE_ROW_DTYPES = {
@@ -176,8 +246,8 @@ _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 def _loadtxt_rejects_float_ids():
     """Whether np.loadtxt refuses "1.0" for an integer field, as int() does.
 
-    Some numpy releases read it as 1 with a DeprecationWarning; there the
-    fast path would accept ids the reference rejects, so it stays off.
+    Some numpy releases read it as 1 with a DeprecationWarning; there numpy
+    would accept ids the line loop rejects, so :func:`_numpy_parse` stays off.
     """
     try:
         np.loadtxt(["1.0"], dtype=np.int64)
@@ -191,41 +261,26 @@ def _loadtxt_rejects_float_ids():
 _FAST_PATH_AVAILABLE = _loadtxt_rejects_float_ids()
 
 
-def _load_edge_list_fast(path, unweighted_default, n):
-    """Vectorized :func:`load_edge_list`, or None to defer to the reference.
+def _numpy_parse(path, lineno, ncols, unweighted_default, n_min):
+    """The graph of the edge lines from ``lineno`` on, or None to decline.
 
-    Covers regular files whose comment and blank lines all precede the first
-    edge line and whose edge lines all have the column count of the first.
-    numpy's C reader parses the rows; ``from_edges`` runs every check on the
-    arrays. Anything either rejects returns None, so that the line loop
-    reports the first bad line with its number and the exact message.
+    Takes a regular file when every line from ``lineno`` on is an edge line
+    with ``ncols`` columns, the column count of line ``lineno``; the graph
+    has at least ``n_min`` vertices. numpy's C reader parses the rows and
+    ``from_edges`` runs every check on the arrays. Anything either rejects
+    returns None, so that the line loop reports the first bad line with its
+    number and the exact message.
     """
     name = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
-    # The file is opened twice, which a pipe does not survive, and loadtxt
-    # picks a decompressor from a name's suffix.
+    # The file is opened a second time, which a pipe does not survive, and
+    # loadtxt picks a decompressor from a name's suffix.
     if (not _FAST_PATH_AVAILABLE or not isinstance(name, str)
-            or not os.path.isfile(name) or name.endswith(_COMPRESSED_SUFFIXES)):
-        return None
-    declared_n = 0
-    # Same loop as the reference over the leading comment/blank block, so it
-    # raises what the reference would raise there.
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                ncols = len(line.split())
-                break
-            if line:
-                count = _header_count(line, path, lineno)
-                if count is not None:
-                    declared_n = count
-        else:
-            return None
-    if ncols != 3 and not (ncols == 2 and unweighted_default):
+            or not os.path.isfile(name) or name.endswith(_COMPRESSED_SUFFIXES)
+            or not (ncols == 3 or (ncols == 2 and unweighted_default))):
         return None
     try:
         # Given a file name (not a buffer), loadtxt reads in large chunks
-        # through a universal-newline text layer, like the reference. An
+        # through a universal-newline text layer, like the line loop. An
         # absolute name is never taken for a URL.
         rows = np.loadtxt(os.path.abspath(name), dtype=_EDGE_ROW_DTYPES[ncols],
                           comments=None, skiprows=lineno - 1,
@@ -234,83 +289,11 @@ def _load_edge_list_fast(path, unweighted_default, n):
         return None
     u, v = rows["u"], rows["v"]
     w = rows["w"] if ncols == 3 else None
-    n_final = max(int(u.max()) + 1, int(v.max()) + 1, declared_n, n or 0)
+    n_final = max(int(u.max()) + 1, int(v.max()) + 1, n_min)
     try:
         return WeightedGraph.from_edges(n_final, u, v, w)
     except ValueError:
         return None
-
-
-def _header_count(comment, path, lineno):
-    """Vertex count of a stripped "# n <count>" comment line, else None."""
-    parts = comment[1:].split()
-    if len(parts) != 2 or parts[0] != "n":
-        return None
-    try:
-        return int(parts[1])
-    except ValueError as exc:
-        raise GraphFormatError(
-            f"{path}:{lineno}: bad vertex count {parts[1]!r}") from exc
-
-
-def _load_edge_list_reference(path, unweighted_default, n):
-    """Line-by-line :func:`load_edge_list`; the reference for the fast path."""
-    us, vs, ws = [], [], []
-    declared_n = 0
-    seen = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                count = _header_count(line, path, lineno)
-                if count is not None:
-                    declared_n = count
-                continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise GraphFormatError(
-                    f"{path}:{lineno}: expected 'u v' or 'u v w', got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: non-integer vertex id") from exc
-            if u < 0 or v < 0:
-                raise GraphFormatError(f"{path}:{lineno}: negative vertex id")
-            if u == v:
-                raise GraphFormatError(f"{path}:{lineno}: self-loop on vertex {u}")
-            if len(parts) == 3:
-                try:
-                    w = float(parts[2])
-                except ValueError as exc:
-                    raise GraphFormatError(
-                        f"{path}:{lineno}: bad weight {parts[2]!r}") from exc
-            elif unweighted_default:
-                w = 1.0
-            else:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: missing weight "
-                    "(use unweighted_default to assume 1)")
-            if not math.isfinite(w):
-                raise GraphFormatError(
-                    f"{path}:{lineno}: non-finite weight {w}")
-            if w <= 0:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: non-positive weight {w}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: duplicate edge {key} "
-                    f"(first seen at line {seen[key]})")
-            seen[key] = lineno
-            us.append(u)
-            vs.append(v)
-            ws.append(w)
-    inferred = max((max(us, default=-1), max(vs, default=-1))) + 1
-    n_final = max(inferred, declared_n, n or 0)
-    return WeightedGraph.from_edges(n_final, us, vs, ws)
 
 
 def save_edge_list(graph: WeightedGraph, path) -> None:

@@ -176,6 +176,26 @@ class TestSolve:
         assert f"vacdks: GraphFormatError: {bad}: " in err
         assert "'2.5'" in err
 
+    @pytest.mark.parametrize("kind", ["negative", "repeated"])
+    def test_bad_planted_id_exit_2(self, instance_dir, tmp_path, capsys,
+                                   monkeypatch, kind):
+        """Checked where the file is read, before the instance is."""
+        planted = (instance_dir / "planted.txt").read_text().split()
+        extra = "-1" if kind == "negative" else planted[0]
+        bad = tmp_path / "planted.txt"
+        bad.write_text("\n".join(planted + [extra]) + "\n", encoding="utf-8")
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("the instance was read")
+
+        monkeypatch.setattr(cli, "load_edge_list", no_load)
+        assert main(solve_args(instance_dir, "peel", "--planted",
+                               str(bad))) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"vacdks: GraphFormatError: {bad}: {kind} vertex id {extra}\n")
+
     @pytest.mark.parametrize("flags", BAD_SOLVER_FLAGS, ids="=".join)
     def test_bad_solver_flags_exit_1(self, instance_dir, flags, capsys):
         rc = main(solve_args(instance_dir, "fw", *flags))
@@ -420,6 +440,15 @@ class TestBench:
                    "--k", "4", "--r", "2", "--seeds", "1",
                    "--out", str(tmp_path / "x")])
         assert rc == 1
+
+    @pytest.mark.parametrize("methods", ["", ",", " , "])
+    def test_no_method_exit_1(self, tmp_path, capsys, methods):
+        rc = main(["bench", "--methods", methods, "--n", "40", "--p", "0.1",
+                   "--k", "4", "--r", "2", "--seeds", "1",
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert "--methods" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("seeds", ["0", "-2"])
     def test_seeds_below_one_exit_1(self, tmp_path, capsys, seeds):

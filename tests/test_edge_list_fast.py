@@ -1,24 +1,26 @@
-"""The vectorized edge-list parser against the line-by-line reference loop.
+"""The numpy parse of an edge list against the line loop alone.
 
-``load_edge_list`` tries ``_load_edge_list_fast`` first and falls back to
-``_load_edge_list_reference`` whenever the fast path declines. These
-properties check, on generated files, that the public loader accepts exactly
-what the reference accepts, builds the same CSR arrays, and otherwise raises
-the same ``GraphFormatError`` text.
+``load_edge_list`` reads a file line by line. At the first edge line it
+hands the rest of a regular file to ``_numpy_parse``, once; where numpy
+declines, the loop reads on from that same line. These properties check, on
+generated files, that the public loader accepts exactly what the line loop
+alone accepts (``_FAST_PATH_AVAILABLE`` patched to False), builds the same
+CSR arrays, and otherwise raises the same ``GraphFormatError`` text.
 """
 
+import contextlib
 import os
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vacdks import GraphFormatError, PlantedCliqueConfig, generate_planted_clique
-from vacdks import load_edge_list, save_edge_list
+from vacdks import GraphFormatError, PlantedCliqueConfig, WeightedGraph
+from vacdks import generate_planted_clique, load_edge_list, save_edge_list
 from vacdks import graph as graph_module
-from vacdks.graph import _load_edge_list_fast, _load_edge_list_reference
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -62,8 +64,8 @@ def edge_files(draw):
             fields.append(draw(WEIGHT_TEXT))
         sep = draw(SEPARATORS)
         lines.append(draw(PADDING) + sep.join(fields) + draw(PADDING))
-    # Comments and blank lines: up front only (the fast path's shape) or
-    # anywhere (the fast path defers to the reference).
+    # Comments and blank lines: up front only (the shape numpy takes) or
+    # anywhere (numpy declines and the line loop reads on).
     extras = draw(st.lists(st.one_of(COMMENTS, BLANKS), max_size=4))
     leading_only = draw(st.booleans())
     for extra in extras:
@@ -92,24 +94,47 @@ def assert_same_graph(g1, g2):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-def check_against_reference(path, unweighted_default):
-    """The public loader matches the reference; returns both outcomes.
+def load_reference(path, unweighted_default=False):
+    """``load_edge_list`` with the numpy parse off: the line loop alone."""
+    with mock.patch.object(graph_module, "_FAST_PATH_AVAILABLE", False):
+        return load_edge_list(path, unweighted_default)
 
-    The fast path's graph is None where it defers to the reference.
+
+@contextlib.contextmanager
+def numpy_parse_results():
+    """Record what each call of ``_numpy_parse`` returns (None: declined)."""
+    results = []
+    real = graph_module._numpy_parse
+
+    def spy(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    with mock.patch.object(graph_module, "_numpy_parse", spy):
+        yield results
+
+
+def check_against_reference(path, unweighted_default):
+    """The public loader matches the line loop alone.
+
+    Returns the loop's outcome and the numpy parse's graph, which is None
+    where numpy declined the file or never saw it.
     """
-    ref = outcome(lambda: _load_edge_list_reference(path, unweighted_default, None))
-    fast = outcome(lambda: _load_edge_list_fast(path, unweighted_default, None))
-    public = outcome(lambda: load_edge_list(path, unweighted_default))
+    ref = outcome(lambda: load_reference(path, unweighted_default))
+    with numpy_parse_results() as taken:
+        public = outcome(lambda: load_edge_list(path, unweighted_default))
+    assert len(taken) <= 1
+    fast = taken[0] if taken else None
     assert public[0] == ref[0]
     if ref[0] == "error":
         assert public[1] == ref[1]
-        # the fast path may defer or raise the same error, never accept
-        assert fast[1] is None or fast == ref
+        # numpy may decline, never accept
+        assert fast is None
     else:
         assert_same_graph(public[1], ref[1])
-        if fast[1] is not None:
-            assert_same_graph(fast[1], ref[1])
-    return ref, fast[1]
+        if fast is not None:
+            assert public[1] is fast
+    return ref, fast
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +205,7 @@ def test_mutated_files_match_reference(edge_path, spec, data):
 
 
 def test_non_ascii_and_underscores_match_reference(edge_path):
-    """Text only Python's int/float accept goes through the reference."""
+    """Text only Python's int/float accept goes through the line loop."""
     for raw, accepted in [("\ufeff0 1 1.0\n", False),        # BOM
                           ("0\u00a01 1.0\n", True),          # NBSP separator
                           ("0 1 1.0\n2 3 \u0661\n", True),  # Arabic-Indic 1
@@ -194,20 +219,62 @@ def test_non_ascii_and_underscores_match_reference(edge_path):
 
 
 def test_fast_path_takes_saved_files(tmp_path):
-    """Files written by save_edge_list never need the reference loop."""
+    """numpy takes every file save_edge_list writes, from its first edge on.
+
+    The two trailing vertices are isolated: only the "# n" line counts them.
+    """
     cfg = PlantedCliqueConfig(n=300, p=0.05, k=6, r=3, weighted=True, seed=4)
-    g, _, _ = generate_planted_clique(cfg)
+    planted, _, _ = generate_planted_clique(cfg)
+    g = WeightedGraph.from_edges(cfg.n + 2, *planted.edge_arrays())
     path = tmp_path / "edges.tsv"
     save_edge_list(g, path)
-    fast = _load_edge_list_fast(path, False, None)
-    assert fast is not None
-    assert_same_graph(fast, _load_edge_list_reference(path, False, None))
+    with numpy_parse_results() as taken:
+        fast = load_edge_list(path)
+    assert taken == [fast] and fast is not None
+    assert_same_graph(fast, load_reference(path))
     assert_same_graph(fast, g)
+
+
+@pytest.mark.parametrize("text, calls", [
+    ("", 0), ("# n 4\n", 0), ("\n# c\n  \n# n 3\n", 0),
+    ("# n 9\n0 1 1.0\n1 2 2.5\n", 1),           # taken
+    ("# n 9\n0 1 1.0\n# c\n1 2 2.5\n", 1),      # declined: later comment
+    ("0 1 1.0\n1 2\n", 1),                       # declined: column count
+    ("0 1 1.0\n1 0 2.0\n", 1),                   # declined: duplicate
+], ids=["empty", "header", "comments", "taken", "later-comment",
+        "column-count", "duplicate"])
+def test_numpy_parse_runs_once_per_file(tmp_path, text, calls):
+    """Once at the first edge line, whatever it returns; never without one."""
+    path = tmp_path / "edges.tsv"
+    path.write_text(text)
+    with numpy_parse_results() as taken:
+        outcome(lambda: load_edge_list(path, True))
+    assert len(taken) == calls
+
+
+def test_declined_first_edge_line_is_kept(tmp_path):
+    """The loop reads on from the line numpy declined, with the "# n" count."""
+    path = tmp_path / "edges.tsv"
+    path.write_text("# n 9\n0 1\n1 2 2.5\n")  # 2 columns, then 3
+    with numpy_parse_results() as taken:
+        g = load_edge_list(path, unweighted_default=True)
+    assert taken == [None]
+    assert g.n == 9
+    u, v, w = g.edge_arrays()
+    assert (u.tolist(), v.tolist(), w.tolist()) == ([0, 1], [1, 2], [1.0, 2.5])
+
+    path.write_text("# n 9\n0 1 1.0\n1 0 2.0\n")
+    with numpy_parse_results() as taken:
+        with pytest.raises(GraphFormatError) as exc:
+            load_edge_list(path)
+    assert taken == [None]
+    assert str(exc.value) == (
+        f"{path}:3: duplicate edge (0, 1) (first seen at line 2)")
 
 
 @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
 def test_plain_text_with_compressed_suffix(tmp_path, suffix):
-    """numpy would decompress these names; the reference reads them as text."""
+    """numpy would decompress these names; the line loop reads them as text."""
     path = tmp_path / f"edges{suffix}"
     path.write_text("# n 5\n0 1 1.0\n1 2 2.5\n")
     ref, fast = check_against_reference(path, False)
@@ -243,11 +310,11 @@ def test_named_pipe_is_read_once(tmp_path):
     plain = tmp_path / "edges.tsv"
     plain.write_text(text)
     assert "graph" in result, result
-    assert_same_graph(result["graph"], _load_edge_list_reference(plain, False, None))
+    assert_same_graph(result["graph"], load_reference(plain))
 
 
 def test_lenient_numpy_turns_fast_path_off(tmp_path, monkeypatch):
-    """Where loadtxt reads "1.0" as an integer, every file takes the reference."""
+    """Where loadtxt reads "1.0" as an integer, only the line loop runs."""
     monkeypatch.setattr(graph_module, "_FAST_PATH_AVAILABLE", False)
     path = tmp_path / "edges.tsv"
     path.write_text("0 1 1.0\n1 2 1.0\n")
