@@ -334,9 +334,11 @@ def cmd_bench(args):
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise UsageError(f"--methods={args.methods!r} names no method")
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r}")
+        if m in methods[:i]:
+            raise UsageError(f"method {m!r} is named twice in --methods")
     try:
         base = dict(n=args.n, p=args.p, k=args.k, r=args.r,
                     weighted=args.weighted)

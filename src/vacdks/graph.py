@@ -55,10 +55,8 @@ class WeightedGraph:
         """
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
-        if w is None:
-            w = np.ones(len(u))
-        else:
-            w = np.asarray(w, dtype=np.float64)
+        w = (np.ones(len(u)) if w is None
+             else np.asarray(w, dtype=np.float64))
         if not (len(u) == len(v) == len(w)):
             raise ValueError("endpoint/weight arrays must have equal length")
         if len(u) and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
@@ -67,22 +65,22 @@ class WeightedGraph:
             raise ValueError("self-loops are not allowed")
         if not np.all((w > 0) & (w < np.inf)):
             raise ValueError("edge weights must be finite and strictly positive")
-        rows = np.concatenate([u, v])
-        cols = np.concatenate([v, u])
-        data = np.concatenate([w, w])
-        adj = sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-        # tocsr sums repeated coordinates, so a duplicate edge (in either
-        # orientation) shows up as missing stored entries.
-        if adj.nnz != len(data):
+        # The upper triangle, then mirrored. tocsr sums repeated coordinates,
+        # so a duplicate edge (in either orientation) is a missing entry.
+        upper = sparse.coo_matrix((w, (np.minimum(u, v), np.maximum(u, v))),
+                                  shape=(n, n)).tocsr()
+        if upper.nnz != len(w):
             raise ValueError("duplicate edges are not allowed")
+        adj = (upper + upper.T).tocsr()
         w_max = float(w.max()) if len(w) else 0.0
         return cls(adj=adj, w_max=w_max)
 
     def edge_arrays(self):
-        """Return (u, v, w) arrays with u < v, sorted by (u, v)."""
-        coo = sparse.triu(self.adj, k=1).tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        return coo.row[order], coo.col[order], coo.data[order]
+        """(u, v, w) with u < v, sorted by (u, v), from the canonical CSR."""
+        indptr, cols = self.adj.indptr, self.adj.indices
+        rows = np.repeat(np.arange(self.n, dtype=cols.dtype), np.diff(indptr))
+        upper = cols > rows
+        return rows[upper], cols[upper], self.adj.data[upper]
 
 
 @dataclass(frozen=True, eq=False)

@@ -441,6 +441,14 @@ class TestBench:
                    "--out", str(tmp_path / "x")])
         assert rc == 1
 
+    def test_repeated_method_exit_1(self, tmp_path, capsys):
+        rc = main(["bench", "--methods", "peel,fw, peel", "--n", "40",
+                   "--p", "0.1", "--k", "4", "--r", "2", "--seeds", "2",
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert "'peel' is named twice" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("methods", ["", ",", " , "])
     def test_no_method_exit_1(self, tmp_path, capsys, methods):
         rc = main(["bench", "--methods", methods, "--n", "40", "--p", "0.1",

@@ -1,11 +1,13 @@
+import hashlib
 import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from vacdks import (
     AttributeAssignment,
@@ -299,3 +301,112 @@ def test_from_edges_rejects_bad_input():
 def test_from_edges_rejects_non_finite_weight(weight):
     with pytest.raises(ValueError, match="finite"):
         WeightedGraph.from_edges(3, [0, 1], [1, 2], [1.0, weight])
+
+
+def from_edges_reference(n, u, v, w=None):
+    """The full-COO construction, both orientations of every edge at once,
+    for valid endpoints and weights."""
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    w = np.ones(len(u)) if w is None else np.asarray(w, dtype=np.float64)
+    data = np.concatenate([w, w])
+    adj = sparse.coo_matrix(
+        (data, (np.concatenate([u, v]), np.concatenate([v, u]))),
+        shape=(n, n)).tocsr()
+    if adj.nnz != len(data):
+        raise ValueError("duplicate edges are not allowed")
+    return WeightedGraph(adj=adj, w_max=float(w.max()) if len(w) else 0.0)
+
+
+def build_outcome(build, n, u, v, w):
+    """The stored arrays (bytes and dtypes) and flags of a build, or its
+    ValueError message."""
+    try:
+        g = build(n, u, v, w)
+    except ValueError as exc:
+        return str(exc)
+    a = g.adj
+    return ([(x.dtype.str, x.tobytes()) for x in (a.data, a.indices, a.indptr)],
+            a.shape, g.w_max, a.has_canonical_format, a.has_sorted_indices)
+
+
+@st.composite
+def edge_inputs(draw):
+    """(n, u, v, w): distinct edges in shuffled order with random orientation,
+    sometimes one duplicate in either orientation, sometimes isolated
+    trailing vertices; unit (None) or float weights."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    flips = draw(st.lists(st.booleans(), min_size=len(edges),
+                          max_size=len(edges)))
+    edges = [(b, a) if flip else (a, b) for (a, b), flip in zip(edges, flips)]
+    if edges and draw(st.booleans()):
+        a, b = draw(st.sampled_from(edges))
+        edges.append(draw(st.sampled_from([(a, b), (b, a)])))
+    edges = draw(st.permutations(edges))
+    weights = None
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.floats(min_value=0.01, max_value=100.0),
+                                min_size=len(edges), max_size=len(edges)))
+    n += draw(st.integers(min_value=0, max_value=3))
+    return n, [a for a, _ in edges], [b for _, b in edges], weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_inputs())
+@example((0, [], [], None))
+@example((4, [], [], None))
+@example((5, [3, 0, 1], [0, 2, 3], [0.5, 1.0, 2.0]))
+@example((5, [3, 0], [0, 2], None))
+def test_from_edges_matches_full_coo_reference(edges):
+    """The upper-triangle build stores what the full COO build stores, byte
+    for byte, and rejects the same duplicates with the same message."""
+    assert (build_outcome(WeightedGraph.from_edges, *edges)
+            == build_outcome(from_edges_reference, *edges))
+
+
+def edge_arrays_reference(g):
+    """(u, v, w) by a triu COO and a lexsort."""
+    coo = sparse.triu(g.adj, k=1).tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    return coo.row[order], coo.col[order], coo.data[order]
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("n, p", [(300, 0.05), (2500, 0.005)])
+def test_edge_arrays_matches_triu_reference(n, p, weighted):
+    cfg = PlantedCliqueConfig(n=n, p=p, k=9, r=3, weighted=weighted, seed=2)
+    g, _, _ = generate_planted_clique(cfg)
+    isolated = WeightedGraph.from_edges(n + 3, *edge_arrays_reference(g))
+    for graph in (g, isolated):
+        got, want = graph.edge_arrays(), edge_arrays_reference(graph)
+        assert [x.dtype for x in got] == [x.dtype for x in want]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+# SHA-256 of adj.data, adj.indices and adj.indptr (in that order), recorded
+# from the full-COO build: the pairwise path (n <= _PAIRWISE_LIMIT) and the
+# skip-sampling path, each unweighted and weighted.
+GENERATOR_HASHES = [
+    (300, 0.05, 9, False,
+     "0ffd51536ac704fb6020f7d36d5d8eecd5540dcd8d3e4a560d87ad3255e9e428"),
+    (300, 0.05, 9, True,
+     "e26b0e3cc13b97729e6c59697c08dd76f3c8f5646b924a60561f4bf76e33f32a"),
+    (2500, 0.01, 12, False,
+     "f3230510bdeb493ac4b21efdfa83390029d18fe9972ea57346002bbab35ab6b6"),
+    (2500, 0.01, 12, True,
+     "240b1c2d89e0dadbd1626dc287034930d2048f548cd0f772169afcbdb4095883"),
+]
+
+
+@pytest.mark.parametrize("n, p, k, weighted, digest", GENERATOR_HASHES)
+def test_generator_is_bit_identical(n, p, k, weighted, digest):
+    cfg = PlantedCliqueConfig(n=n, p=p, k=k, r=3, weighted=weighted, seed=3)
+    a = generate_planted_clique(cfg)[0].adj
+    assert (a.data.dtype, a.indices.dtype, a.indptr.dtype) == (
+        np.float64, np.int32, np.int32)
+    h = hashlib.sha256()
+    for x in (a.data, a.indices, a.indptr):
+        h.update(x.tobytes())
+    assert h.hexdigest() == digest
