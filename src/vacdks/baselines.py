@@ -13,15 +13,21 @@ from .graph import WeightedGraph, induced_weight
 BRUTE_FORCE_LIMIT = 10**7
 
 
-def _peel_argmin(graph, spec):
-    """Peeling via vectorized argmin scans over a float key per vertex.
+def greedy_peel(graph: WeightedGraph, spec: ConstraintSpec) -> np.ndarray:
+    """Remove minimum-(weighted-)degree removable vertices until k remain.
 
-    The key is a vertex's weighted degree among survivors, or inf once it is
-    removed or its group is frozen. Group counts only shrink, so a group that
-    reaches its minimum never loses a member again: its members' keys stay
-    inf, and ``argmin`` (first minimum, hence the lower id on ties) only ever
-    picks removable vertices.
+    A vertex is removable iff its group stays at or above its minimum after
+    removal; ties go to the lower vertex id. Returns the sorted survivor ids,
+    always a feasible set of size k.
+
+    Each removal is one vectorized ``argmin`` over a float key per vertex:
+    its weighted degree among survivors, or inf once it is removed or its
+    group is frozen. Group counts only shrink, so a group that reaches its
+    minimum never loses a member again: its members' keys stay inf, and
+    ``argmin`` (first minimum, hence the lower id on ties) only ever picks
+    removable vertices.
     """
+    validate(spec, graph)
     adj = graph.adj
     # Memoryviews give Python ints per index, as fast as a list and with
     # no copy of the arrays.
@@ -49,17 +55,6 @@ def _peel_argmin(graph, spec):
         if counts[g] == mins[g]:
             key[groups[g]] = inf
     return np.flatnonzero(alive)
-
-
-def greedy_peel(graph: WeightedGraph, spec: ConstraintSpec) -> np.ndarray:
-    """Remove minimum-(weighted-)degree removable vertices until k remain.
-
-    A vertex is removable iff its group stays at or above its minimum after
-    removal; ties go to the lower vertex id. Returns the sorted survivor ids,
-    always a feasible set of size k.
-    """
-    validate(spec, graph)
-    return _peel_argmin(graph, spec)
 
 
 def lrbo_rank1(graph: WeightedGraph, spec: ConstraintSpec):

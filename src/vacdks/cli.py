@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import dataclasses
 import json
 import multiprocessing
 import sys
@@ -97,17 +97,28 @@ class UsageError(Exception):
     pass
 
 
-def _load_instance(args):
-    # The attribute file fixes n; the edge list may omit trailing isolated
-    # vertices, so the graph gets at least as many vertices as it labels.
-    # It is read once, so that it may be a pipe.
-    text = read_text(args.attrs)
-    labeled = sum(1 for line in io.StringIO(text)
-                  if line.strip() and not line.lstrip().startswith("#"))
+def _load_problem(args):
+    """The graph and validated spec of the instance, ``--k`` and minimum flags.
+
+    The attribute file fixes n; the edge list may omit trailing isolated
+    vertices, but may name no vertex the attributes leave unlabeled.
+    """
+    attr = load_attributes(args.attrs)
     graph = load_edge_list(args.edges, unweighted_default=args.unweighted,
-                           n=labeled)
-    attr = load_attributes(args.attrs, graph.n, text=text)
-    return graph, attr
+                           n=attr.n)
+    if graph.n > attr.n:
+        raise GraphFormatError(f"{args.attrs}: vertex {attr.n} unlabeled")
+    spec = ConstraintSpec(k=args.k, mins=_resolve_mins(args, attr.r), attr=attr)
+    validate(spec, graph)
+    return graph, spec
+
+
+def _emit(obj, out):
+    """Print ``obj`` as one JSON line and, given ``out``, write it there."""
+    text = json.dumps(obj)
+    print(text)
+    if out:
+        Path(out).write_text(text + "\n", encoding="utf-8")
 
 
 def _run_method(method, graph, spec, fw_cfg):
@@ -156,12 +167,17 @@ def _make_record(method, instance, spec, seed, graph, sel, iterations,
     return record
 
 
-def cmd_generate(args):
+def _generator_config(args, seed):
+    """The generator settings of ``--n/--p/--k/--r/--weighted`` and ``seed``."""
     try:
-        cfg = PlantedCliqueConfig(n=args.n, p=args.p, k=args.k, r=args.r,
-                                  weighted=args.weighted, seed=args.seed)
+        return PlantedCliqueConfig(n=args.n, p=args.p, k=args.k, r=args.r,
+                                   weighted=args.weighted, seed=seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def cmd_generate(args):
+    cfg = _generator_config(args, args.seed)
     graph, attr, planted = generate_planted_clique(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -198,32 +214,19 @@ def cmd_solve(args):
                 kind = "negative" if v < 0 else "repeated"
                 raise GraphFormatError(f"{args.planted}: {kind} vertex id {v}")
             seen.add(v)
-    graph, attr = _load_instance(args)
-    mins = _resolve_mins(args, attr.r)
-    spec = ConstraintSpec(k=args.k, mins=mins, attr=attr)
-    validate(spec, graph)
+    graph, spec = _load_problem(args)
     start = time.perf_counter()
     sel, iterations = _run_method(args.method, graph, spec, fw_cfg)
     wall = time.perf_counter() - start
-    record = _make_record(args.method, {"edges": args.edges, "attrs": args.attrs},
-                          spec, args.seed, graph, sel, iterations, wall, planted)
-    text = json.dumps(record, indent=None)
-    print(text)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+    _emit(_make_record(args.method, {"edges": args.edges, "attrs": args.attrs},
+                       spec, args.seed, graph, sel, iterations, wall, planted),
+          args.out)
     return 0
 
 
 def cmd_bound(args):
-    graph, attr = _load_instance(args)
-    mins = _resolve_mins(args, attr.r)
-    spec = ConstraintSpec(k=args.k, mins=mins, attr=attr)
-    validate(spec, graph)
-    report = upper_bound(graph, spec)
-    text = json.dumps(report.to_dict())
-    print(text)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+    graph, spec = _load_problem(args)
+    _emit(upper_bound(graph, spec).to_dict(), args.out)
     return 0
 
 
@@ -339,12 +342,7 @@ def cmd_bench(args):
             raise UsageError(f"unknown method {m!r}")
         if m in methods[:i]:
             raise UsageError(f"method {m!r} is named twice in --methods")
-    try:
-        base = dict(n=args.n, p=args.p, k=args.k, r=args.r,
-                    weighted=args.weighted)
-        PlantedCliqueConfig(**base, seed=0)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    base = dataclasses.asdict(_generator_config(args, 0))
     fw_cfg = _fw_config(args)
     mins = _resolve_mins(args, args.r)
     out = Path(args.out)

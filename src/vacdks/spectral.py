@@ -121,17 +121,3 @@ def _lanczos_sigma2(adj, eig1, v1):
         betas.append(beta)
         q_prev, q = q, w / beta
 
-
-def second_singular_value(adj, eig1, v1):
-    """Second-largest singular value via single deflation and Lanczos.
-
-    Runs :func:`_lanczos_sigma2` on the deflated operator
-    M = A - eig1*v1*v1^T, whose norm is sigma_2 when (eig1, v1) is the
-    dominant eigenpair, and returns the last padded |theta|. It bounds
-    ||M|| from above unless the start vector misses the top of the
-    spectrum, which a random start does with small probability (Kuczynski
-    & Wozniakowski, SIAM J. Matrix Anal. Appl. 13(4), 1992).
-    """
-    for _, sigma2 in _lanczos_sigma2(adj, eig1, v1):
-        pass
-    return sigma2

@@ -228,6 +228,20 @@ class TestSolve:
         assert rc == 0
         assert calls == [6]
 
+    @pytest.mark.parametrize("command", ["solve", "bound"])
+    def test_edge_list_beyond_the_labels_exit_2(self, tmp_path, capsys,
+                                                command):
+        # the attribute file labels vertices 0-3; the edge list names 5
+        (tmp_path / "e.tsv").write_text("0 1 1.0\n1 2 1.0\n2 5 1.0\n")
+        attrs = tmp_path / "a.tsv"
+        attrs.write_text("".join(f"{v} {v % 2}\n" for v in range(4)))
+        args = [command] + (["peel"] if command == "solve" else []) + [
+            "--edges", str(tmp_path / "e.tsv"), "--attrs", str(attrs),
+            "--k", "2"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"vacdks: GraphFormatError: {attrs}: vertex 4 unlabeled\n")
+
 
 class TestBound:
     def test_report_fields(self, instance_dir, capsys):

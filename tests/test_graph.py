@@ -112,6 +112,16 @@ class TestLoadAttributes:
         assert attr.r == 2
         assert attr.labels.tolist() == [0, 1]
 
+    def test_n_is_the_labeled_line_count(self, tmp_path):
+        attr = load_attributes(
+            write(tmp_path, "# vertex group\n\n2 1\n0 0\n  \n1 1\n"))
+        assert attr.n == 3
+        assert attr.labels.tolist() == [1, 0, 0]
+        with pytest.raises(GraphFormatError, match=r"vertex 3 out of range \[0, 3\)"):
+            load_attributes(write(tmp_path, "0 0\n3 0\n1 0\n"))
+        with pytest.raises(GraphFormatError, match=":2: expected 'vertex group'"):
+            load_attributes(write(tmp_path, "0 0\n1\n"))
+
     def test_unlabeled_vertex(self, tmp_path):
         with pytest.raises(GraphFormatError, match="vertex 1 unlabeled"):
             load_attributes(write(tmp_path, "0 0\n"), 2)
