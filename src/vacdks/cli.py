@@ -31,12 +31,7 @@ from .graph import (
     save_attributes,
     save_edge_list,
 )
-from .metrics import (
-    group_proportions,
-    normalized_edge_weight,
-    recovery_check,
-    upper_bound,
-)
+from .metrics import normalized_edge_weight, recovery_check, upper_bound
 
 METHODS = ("fw", "peel", "lrbo", "fw+peel", "oracle")
 
@@ -72,12 +67,17 @@ def _add_solver_flags(p):
     p.add_argument("--gap-tol", type=float, default=1e-6)
 
 
-def _fw_config(args):
+def _config(cls, **fields):
+    """``cls(**fields)``; a value it rejects is a usage error."""
     try:
-        return FwConfig(lam=args.lam, max_iters=args.max_iters,
-                        gap_tol=args.gap_tol)
+        return cls(**fields)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _fw_config(args):
+    return _config(FwConfig, lam=args.lam, max_iters=args.max_iters,
+                   gap_tol=args.gap_tol)
 
 
 def _resolve_mins(args, r):
@@ -123,13 +123,11 @@ def _emit(obj, out):
 
 def _run_method(method, graph, spec, fw_cfg):
     """Run one solver; returns (vertex array, iteration count or None)."""
-    if method == "fw":
-        _, sel, trace = solve_fw(graph, spec, fw_cfg)
-        return sel, trace.iterations
-    if method == "fw+peel":
-        warm = greedy_peel(graph, spec)
-        x0 = np.zeros(graph.n)
-        x0[warm] = 1.0
+    if method in ("fw", "fw+peel"):
+        x0 = None
+        if method == "fw+peel":  # warm start at the peeled set
+            x0 = np.zeros(graph.n)
+            x0[greedy_peel(graph, spec)] = 1.0
         _, sel, trace = solve_fw(graph, spec, fw_cfg, x0=x0)
         return sel, trace.iterations
     if method == "peel":
@@ -143,37 +141,35 @@ def _run_method(method, graph, spec, fw_cfg):
     raise UsageError(f"unknown method {method!r}")
 
 
-def _make_record(method, instance, spec, seed, graph, sel, iterations,
-                 wall_seconds, planted=None):
+def _solve_record(method, graph, spec, fw_cfg, instance, seed, planted):
+    """Run, time and check one method; its record for ``solve`` and ``bench``."""
+    start = time.perf_counter()
+    sel, iterations = _run_method(method, graph, spec, fw_cfg)
+    wall = time.perf_counter() - start
     if not is_feasible_binary(spec, sel):
         raise RuntimeError(f"{method} produced an infeasible selection")
-    objective = induced_weight(graph, sel)
     counts = np.bincount(spec.attr.labels[sel], minlength=spec.attr.r)
-    record = {
+    return {
         "method": method,
         "instance": instance,
         "k": spec.k,
         "mins": list(spec.mins),
         "seed": seed,
         "vertices": [int(v) for v in sorted(sel)],
-        "objective": objective,
+        "objective": induced_weight(graph, sel),
         "normalized": normalized_edge_weight(graph, sel) if spec.k >= 2 else None,
         "group_counts": counts.tolist(),
-        "group_proportions": group_proportions(spec.attr, sel).tolist(),
+        "group_proportions": (counts / len(sel)).tolist(),
         "recovery": None if planted is None else recovery_check(planted, sel),
         "iterations": iterations,
-        "wall_seconds": wall_seconds,
+        "wall_seconds": wall,
     }
-    return record
 
 
 def _generator_config(args, seed):
     """The generator settings of ``--n/--p/--k/--r/--weighted`` and ``seed``."""
-    try:
-        return PlantedCliqueConfig(n=args.n, p=args.p, k=args.k, r=args.r,
-                                   weighted=args.weighted, seed=seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return _config(PlantedCliqueConfig, n=args.n, p=args.p, k=args.k,
+                   r=args.r, weighted=args.weighted, seed=seed)
 
 
 def cmd_generate(args):
@@ -186,8 +182,7 @@ def cmd_generate(args):
     with open(out / "planted.txt", "w", encoding="utf-8") as fh:
         fh.write("\n".join(str(int(v)) for v in planted) + "\n")
     manifest = {
-        "n": cfg.n, "p": cfg.p, "k": cfg.k, "r": cfg.r,
-        "weighted": cfg.weighted, "seed": cfg.seed,
+        **dataclasses.asdict(cfg),
         "m": graph.m, "w_max": graph.w_max,
         "files": {"edges": "edges.tsv", "attrs": "attrs.tsv",
                   "planted": "planted.txt"},
@@ -215,12 +210,13 @@ def cmd_solve(args):
                 raise GraphFormatError(f"{args.planted}: {kind} vertex id {v}")
             seen.add(v)
     graph, spec = _load_problem(args)
-    start = time.perf_counter()
-    sel, iterations = _run_method(args.method, graph, spec, fw_cfg)
-    wall = time.perf_counter() - start
-    _emit(_make_record(args.method, {"edges": args.edges, "attrs": args.attrs},
-                       spec, args.seed, graph, sel, iterations, wall, planted),
-          args.out)
+    for v in planted or ():
+        if v >= graph.n:
+            raise GraphFormatError(
+                f"{args.planted}: vertex id {v} out of range [0, {graph.n})")
+    _emit(_solve_record(args.method, graph, spec, fw_cfg,
+                        {"edges": args.edges, "attrs": args.attrs},
+                        args.seed, planted), args.out)
     return 0
 
 
@@ -231,14 +227,11 @@ def cmd_bound(args):
 
 
 def _bench_run(payload):
-    """One campaign cell: time one solve on the instance the campaign built."""
-    graph, spec, method = payload["graph"], payload["spec"], payload["method"]
-    start = time.perf_counter()
-    sel, iterations = _run_method(method, graph, spec, payload["fw_cfg"])
-    wall = time.perf_counter() - start
-    return _make_record(method, {"generator": payload["generator"]},
-                        spec, payload["generator"]["seed"], graph, sel,
-                        iterations, wall, payload["planted"])
+    """One campaign cell: the record of one solve on the campaign's instance."""
+    generator = payload["generator"]
+    return _solve_record(payload["method"], payload["graph"], payload["spec"],
+                         payload["fw_cfg"], {"generator": generator},
+                         generator["seed"], payload["planted"])
 
 
 def _bench_worker(payload, conn):
@@ -283,6 +276,14 @@ def _run_isolated(ctx, payload, timeout):
     return "error", f"worker exited with code {proc.exitcode} without a result"
 
 
+def _mean_std(values):
+    """Mean and sample std; (None, None) when empty, std 0.0 for one value."""
+    if not values:
+        return None, None
+    std = 0.0 if len(values) == 1 else float(np.std(values, ddof=1))
+    return float(np.mean(values)), std
+
+
 def _summarize(records):
     """Per-method mean +/- sample std of normalized value and wall time."""
     summary = {}
@@ -291,19 +292,16 @@ def _summarize(records):
         by_method.setdefault(rec["method"], []).append(rec)
     for method, recs in sorted(by_method.items()):
         ok = [r for r in recs if "error" not in r]
-        norm = [r["normalized"] for r in ok]
-        wall = [r["wall_seconds"] for r in ok]
-        single = len(ok) == 1
+        norm_mean, norm_std = _mean_std([r["normalized"] for r in ok])
+        wall_mean, wall_std = _mean_std([r["wall_seconds"] for r in ok])
         summary[method] = {
             "runs": len(recs),
             "failures": len(recs) - len(ok),
-            "normalized_mean": float(np.mean(norm)) if ok else None,
-            "normalized_std": 0.0 if single else
-            (float(np.std(norm, ddof=1)) if ok else None),
-            "wall_mean": float(np.mean(wall)) if ok else None,
-            "wall_std": 0.0 if single else
-            (float(np.std(wall, ddof=1)) if ok else None),
-            "std_is_degenerate": single,
+            "normalized_mean": norm_mean,
+            "normalized_std": norm_std,
+            "wall_mean": wall_mean,
+            "wall_std": wall_std,
+            "std_is_degenerate": len(ok) == 1,
             "success_count": sum(1 for r in ok if r.get("recovery")),
         }
     return summary

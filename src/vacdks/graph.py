@@ -430,14 +430,12 @@ def generate_planted_clique(cfg: PlantedCliqueConfig):
     planted = np.sort(np.concatenate(parts))
 
     if p <= 0.0:
-        lo = hi = np.empty(0, dtype=np.int64)
+        idx = np.empty(0, dtype=np.int64)
     elif n <= _PAIRWISE_LIMIT:
-        iu, iv = np.triu_indices(n, k=1)
-        mask = rng.random(len(iu)) < p
-        lo, hi = iu[mask].astype(np.int64), iv[mask].astype(np.int64)
+        idx = np.flatnonzero(rng.random(n * (n - 1) // 2) < p)
     else:
         idx = _sample_pair_indices(rng, n, p)
-        lo, hi = _pairs_from_indices(idx, n)
+    lo, hi = _pairs_from_indices(idx, n)
 
     in_planted = np.zeros(n, dtype=bool)
     in_planted[planted] = True

@@ -43,6 +43,12 @@ BAD_SOLVER_FLAGS = [
 ]
 
 
+# The keys of a solve record, in order; later keys may only be appended.
+RECORD_KEYS = ["method", "instance", "k", "mins", "seed", "vertices",
+               "objective", "normalized", "group_counts", "group_proportions",
+               "recovery", "iterations", "wall_seconds"]
+
+
 def solve_args(inst, method, *extra):
     return ["solve", method, "--edges", str(inst / "edges.tsv"),
             "--attrs", str(inst / "attrs.tsv"), "--k", "9",
@@ -196,6 +202,30 @@ class TestSolve:
         assert captured.err == (
             f"vacdks: GraphFormatError: {bad}: {kind} vertex id {extra}\n")
 
+    def test_planted_id_out_of_range_exit_2(self, instance_dir, tmp_path,
+                                            capsys, monkeypatch):
+        """An id the instance does not have is no failed recovery."""
+        planted = (instance_dir / "planted.txt").read_text().split()
+        bad = tmp_path / "planted.txt"
+        bad.write_text("\n".join(planted[:-1] + ["200"]) + "\n",
+                       encoding="utf-8")
+
+        def no_run(*args):
+            raise AssertionError("a solver ran")
+
+        monkeypatch.setattr(cli, "_run_method", no_run)
+        assert main(solve_args(instance_dir, "peel", "--planted",
+                               str(bad))) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"vacdks: GraphFormatError: {bad}: "
+                                "vertex id 200 out of range [0, 200)\n")
+
+    def test_record_keys_in_order(self, instance_dir, capsys):
+        assert main(solve_args(instance_dir, "peel")) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert list(record) == RECORD_KEYS
+
     @pytest.mark.parametrize("flags", BAD_SOLVER_FLAGS, ids="=".join)
     def test_bad_solver_flags_exit_1(self, instance_dir, flags, capsys):
         rc = main(solve_args(instance_dir, "fw", *flags))
@@ -342,6 +372,52 @@ class TestBench:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["peel"]["std_is_degenerate"]
         assert summary["peel"]["normalized_std"] == 0.0
+
+    def test_solve_and_bench_records_agree(self, tmp_path, monkeypatch,
+                                           capsys):
+        """Equal records but for ``instance`` and ``wall_seconds``.
+
+        The instance's first-seen group order is not 0, 1, so the two
+        commands number its groups differently.
+        """
+        flags = ["--n", "16", "--p", "0.3", "--k", "4", "--r", "2",
+                 "--weighted"]
+        inst = tmp_path / "inst"
+        assert main(["generate", *flags, "--out", str(inst)]) == 0
+        solved = {}
+        for method in cli.METHODS:
+            capsys.readouterr()
+            assert main(["solve", method, "--edges", str(inst / "edges.tsv"),
+                         "--attrs", str(inst / "attrs.tsv"), "--k", "4",
+                         "--min-all", "1",
+                         "--planted", str(inst / "planted.txt")]) == 0
+            solved[method] = json.loads(capsys.readouterr().out)
+        benched = []
+        summarize = cli._summarize
+
+        def keeping(records):
+            benched.extend(records)
+            return summarize(records)
+
+        monkeypatch.setattr(cli, "_summarize", keeping)
+        assert main(["bench", "--methods", ",".join(cli.METHODS), *flags,
+                     "--min-all", "1", "--seeds", "1",
+                     "--out", str(tmp_path / "bench")]) == 0
+        # load_attributes numbers the groups in first-seen order, the
+        # campaign by the generator's labels: loaded group j is label order[j].
+        order = list(dict.fromkeys(
+            int(line.split()[1])
+            for line in (inst / "attrs.tsv").read_text().splitlines()))
+        assert order == [1, 0]
+        assert [rec["method"] for rec in benched] == list(cli.METHODS)
+        for rec in benched:
+            assert list(rec) == RECORD_KEYS
+            for key in ("group_counts", "group_proportions"):
+                rec[key] = [rec[key][g] for g in order]
+            drop = ("instance", "wall_seconds")
+            assert ({k: v for k, v in rec.items() if k not in drop}
+                    == {k: v for k, v in solved[rec["method"]].items()
+                        if k not in drop})
 
     @pytest.mark.parametrize("worker, reason", [
         ("_exit_without_result", "worker exited with code 3 without a result"),
