@@ -285,14 +285,19 @@ def _mean_std(values):
 
 
 def _summarize(records):
-    """Per-method mean +/- sample std of normalized value and wall time."""
+    """Per-method mean +/- sample std of normalized value and wall time.
+
+    The normalized value is null below k=2; its mean and std are taken over
+    the runs that have one, and are null when none does.
+    """
     summary = {}
     by_method = {}
     for rec in records:
         by_method.setdefault(rec["method"], []).append(rec)
     for method, recs in sorted(by_method.items()):
         ok = [r for r in recs if "error" not in r]
-        norm_mean, norm_std = _mean_std([r["normalized"] for r in ok])
+        norm_mean, norm_std = _mean_std(
+            [r["normalized"] for r in ok if r["normalized"] is not None])
         wall_mean, wall_std = _mean_std([r["wall_seconds"] for r in ok])
         summary[method] = {
             "runs": len(recs),

@@ -53,27 +53,8 @@ class WeightedGraph:
         Rejects self-loops, duplicate edges (in either orientation), and
         non-positive or non-finite weights. ``w=None`` means unit weights.
         """
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        w = (np.ones(len(u)) if w is None
-             else np.asarray(w, dtype=np.float64))
-        if not (len(u) == len(v) == len(w)):
-            raise ValueError("endpoint/weight arrays must have equal length")
-        if len(u) and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
-            raise ValueError("vertex id out of range")
-        if np.any(u == v):
-            raise ValueError("self-loops are not allowed")
-        if not np.all((w > 0) & (w < np.inf)):
-            raise ValueError("edge weights must be finite and strictly positive")
-        # The upper triangle, then mirrored. tocsr sums repeated coordinates,
-        # so a duplicate edge (in either orientation) is a missing entry.
-        upper = sparse.coo_matrix((w, (np.minimum(u, v), np.maximum(u, v))),
-                                  shape=(n, n)).tocsr()
-        if upper.nnz != len(w):
-            raise ValueError("duplicate edges are not allowed")
-        adj = (upper + upper.T).tocsr()
-        w_max = float(w.max()) if len(w) else 0.0
-        return cls(adj=adj, w_max=w_max)
+        upper, w_max = _upper_triangle(n, u, v, w)
+        return cls(adj=_mirror(upper), w_max=w_max)
 
     def edge_arrays(self):
         """(u, v, w) with u < v, sorted by (u, v), from the canonical CSR."""
@@ -81,6 +62,42 @@ class WeightedGraph:
         rows = np.repeat(np.arange(self.n, dtype=cols.dtype), np.diff(indptr))
         upper = cols > rows
         return rows[upper], cols[upper], self.adj.data[upper]
+
+
+def _upper_triangle(n, u, v, w):
+    """(U, w_max): the CSR upper triangle of the edges, after every check.
+
+    The first step of :meth:`WeightedGraph.from_edges`, apart so that a
+    caller can drop its edge arrays before :func:`_mirror` allocates.
+    """
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    w = (np.ones(len(u)) if w is None
+         else np.asarray(w, dtype=np.float64))
+    if not (len(u) == len(v) == len(w)):
+        raise ValueError("endpoint/weight arrays must have equal length")
+    if len(u) and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
+        raise ValueError("vertex id out of range")
+    if np.any(u == v):
+        raise ValueError("self-loops are not allowed")
+    if not np.all((w > 0) & (w < np.inf)):
+        raise ValueError("edge weights must be finite and strictly positive")
+    # The CSR keeps int32 indices below 2**31 vertices, so lo/hi are built
+    # in that width rather than cast from int64 copies.
+    idx = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    lo = np.minimum(u, v, dtype=idx, casting="same_kind")
+    hi = np.maximum(u, v, dtype=idx, casting="same_kind")
+    # tocsr sums repeated coordinates, so a duplicate edge (in either
+    # orientation) is a missing entry.
+    upper = sparse.coo_matrix((w, (lo, hi)), shape=(n, n)).tocsr()
+    if upper.nnz != len(w):
+        raise ValueError("duplicate edges are not allowed")
+    return upper, (float(w.max()) if len(w) else 0.0)
+
+
+def _mirror(upper):
+    """The symmetric CSR adjacency U + Uᵀ of an upper triangle U."""
+    return (upper + upper.T).tocsr()
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,9 +282,10 @@ def _numpy_parse(path, lineno, ncols, unweighted_default, n_min):
     Takes a regular file when every line from ``lineno`` on is an edge line
     with ``ncols`` columns, the column count of line ``lineno``; the graph
     has at least ``n_min`` vertices. numpy's C reader parses the rows and
-    ``from_edges`` runs every check on the arrays. Anything either rejects
-    returns None, so that the line loop reports the first bad line with its
-    number and the exact message.
+    ``from_edges``'s first step runs every check on the arrays. Anything
+    either rejects returns None, so that the line loop reports the first bad
+    line with its number and the exact message. The rows are freed before
+    the mirror allocates the symmetric CSR.
     """
     name = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
     # The file is opened a second time, which a pipe does not survive, and
@@ -289,9 +307,11 @@ def _numpy_parse(path, lineno, ncols, unweighted_default, n_min):
     w = rows["w"] if ncols == 3 else None
     n_final = max(int(u.max()) + 1, int(v.max()) + 1, n_min)
     try:
-        return WeightedGraph.from_edges(n_final, u, v, w)
+        upper, w_max = _upper_triangle(n_final, u, v, w)
     except ValueError:
         return None
+    del rows, u, v, w
+    return WeightedGraph(adj=_mirror(upper), w_max=w_max)
 
 
 def save_edge_list(graph: WeightedGraph, path) -> None:
@@ -451,6 +471,8 @@ def generate_planted_clique(cfg: PlantedCliqueConfig):
     us = np.concatenate([lo, cu])
     vs = np.concatenate([hi, cv])
     ws = np.concatenate([w_bg, np.ones(len(cu))])
+    # us, vs and ws hold these edges: free the rest before the build's peak.
+    del idx, lo, hi, w_bg, keep
     graph = WeightedGraph.from_edges(n, us, vs, ws)
     return graph, attr, planted
 

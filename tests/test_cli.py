@@ -373,6 +373,16 @@ class TestBench:
         assert summary["peel"]["std_is_degenerate"]
         assert summary["peel"]["normalized_std"] == 0.0
 
+    def test_k1_campaign_has_null_normalized_summary(self, tmp_path, capsys):
+        out = tmp_path / "bench-k1"
+        rc = main(["bench", "--methods", "peel", "--n", "20", "--p", "0.3",
+                   "--k", "1", "--r", "1", "--seeds", "2", "--out", str(out)])
+        assert rc == 0
+        s = json.loads((out / "summary.json").read_text())["peel"]
+        assert s["runs"] == 2 and s["failures"] == 0
+        assert s["normalized_mean"] is None and s["normalized_std"] is None
+        assert s["wall_mean"] >= 0.0
+
     def test_solve_and_bench_records_agree(self, tmp_path, monkeypatch,
                                            capsys):
         """Equal records but for ``instance`` and ``wall_seconds``.

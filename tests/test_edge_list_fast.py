@@ -11,6 +11,7 @@ CSR arrays, and otherwise raises the same ``GraphFormatError`` text.
 import contextlib
 import os
 import threading
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -233,6 +234,30 @@ def test_fast_path_takes_saved_files(tmp_path):
     assert taken == [fast] and fast is not None
     assert_same_graph(fast, load_reference(path))
     assert_same_graph(fast, g)
+
+
+def test_parsed_rows_freed_before_the_mirror(tmp_path, monkeypatch):
+    """numpy's record array is gone before the mirror allocates the CSR."""
+    cfg = PlantedCliqueConfig(n=300, p=0.05, k=6, r=3, weighted=True, seed=4)
+    g, _, _ = generate_planted_clique(cfg)
+    path = tmp_path / "edges.tsv"
+    save_edge_list(g, path)
+    parsed, rows_alive = [], []
+    real_loadtxt, real_mirror = np.loadtxt, graph_module._mirror
+
+    def loadtxt(*args, **kwargs):
+        rows = real_loadtxt(*args, **kwargs)
+        parsed.append(weakref.ref(rows))
+        return rows
+
+    def mirror(upper):
+        rows_alive.append([ref() is not None for ref in parsed])
+        return real_mirror(upper)
+
+    monkeypatch.setattr(graph_module.np, "loadtxt", loadtxt)
+    monkeypatch.setattr(graph_module, "_mirror", mirror)
+    assert_same_graph(load_edge_list(path), g)
+    assert rows_alive == [[False]]
 
 
 @pytest.mark.parametrize("text, calls", [
