@@ -284,8 +284,9 @@ def _numpy_parse(path, lineno, ncols, unweighted_default, n_min):
     has at least ``n_min`` vertices. numpy's C reader parses the rows and
     ``from_edges``'s first step runs every check on the arrays. Anything
     either rejects returns None, so that the line loop reports the first bad
-    line with its number and the exact message. The rows are freed before
-    the mirror allocates the symmetric CSR.
+    line with its number and the exact message. The parsed rows are freed
+    before the upper triangle is built, and the edge arrays before the
+    mirror allocates the symmetric CSR.
     """
     name = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
     # The file is opened a second time, which a pipe does not survive, and
@@ -303,24 +304,65 @@ def _numpy_parse(path, lineno, ncols, unweighted_default, n_min):
                           encoding="ascii", ndmin=1)
     except (ValueError, OSError):
         return None
-    u, v = rows["u"], rows["v"]
-    w = rows["w"] if ncols == 3 else None
+    # Contiguous copies, so that the COO build copies no strided field
+    # while the record array is alive.
+    u, v = rows["u"].copy(), rows["v"].copy()
+    w = rows["w"].copy() if ncols == 3 else None
+    del rows
     n_final = max(int(u.max()) + 1, int(v.max()) + 1, n_min)
     try:
         upper, w_max = _upper_triangle(n_final, u, v, w)
     except ValueError:
         return None
-    del rows, u, v, w
+    del u, v, w
     return WeightedGraph(adj=_mirror(upper), w_max=w_max)
 
 
+# Lines per block of text the writers build.
+_WRITE_CHUNK = 1 << 18
+
+
+def _digit_cells(x, top):
+    """The decimal digits of the non-negative ints ``x``, right-aligned and
+    NUL-padded to the width of ``top``, one uint8 row per entry."""
+    x = np.array(x, dtype=np.uint64)
+    cells = np.zeros((len(x), len(str(top))), dtype=np.uint8)
+    cells[:, -1] = x % 10 + ord("0")  # the one digit of 0 too
+    for col in range(cells.shape[1] - 2, -1, -1):
+        x //= 10
+        cells[:, col] = np.where(x > 0, x % 10 + ord("0"), 0)
+    return cells
+
+
+def _repr_cells(x):
+    """``repr`` of each float in ``x``, NUL-padded, one uint8 row per entry:
+    each distinct value is formatted once."""
+    values, inverse = np.unique(x, return_inverse=True)
+    table = np.array([repr(c) for c in values.tolist()], dtype=np.bytes_)
+    return table.view(np.uint8).reshape(len(values), -1)[inverse]
+
+
+def _write_lines(fh, blocks):
+    """Write one line per row of the cell blocks: each row's fields in
+    block order, joined by spaces. No field holds a NUL, so the padding
+    drops out."""
+    space = np.full((len(blocks[0]), 1), ord(" "), dtype=np.uint8)
+    cells = np.hstack([x for block in blocks for x in (block, space)])
+    cells[:, -1] = ord("\n")
+    fh.write(cells[cells != 0].tobytes().decode("ascii"))
+
+
 def save_edge_list(graph: WeightedGraph, path) -> None:
-    """Write the edge list in the format accepted by :func:`load_edge_list`."""
+    """Write the edge list in the format accepted by :func:`load_edge_list`:
+    a "# n" header, then one "u v repr(w)" line per edge, u < v, sorted."""
     u, v, w = graph.edge_arrays()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# n {graph.n}\n")
-        for a, b, c in zip(u.tolist(), v.tolist(), w.tolist()):
-            fh.write(f"{a} {b} {c!r}\n")
+        for lo in range(0, len(u), _WRITE_CHUNK):
+            part = slice(lo, lo + _WRITE_CHUNK)
+            _write_lines(fh, [_digit_cells(u[part], graph.n - 1),
+                              _digit_cells(v[part], graph.n - 1),
+                              _repr_cells(w[part])])
 
 
 def read_text(path) -> str:
@@ -382,9 +424,13 @@ def load_attributes(path, n=None) -> AttributeAssignment:
 
 
 def save_attributes(attr: AttributeAssignment, path) -> None:
+    """Write one "vertex group" line per vertex, in vertex order."""
     with open(path, "w", encoding="utf-8") as fh:
-        for v, g in enumerate(attr.labels.tolist()):
-            fh.write(f"{v} {g}\n")
+        for lo in range(0, attr.n, _WRITE_CHUNK):
+            labels = attr.labels[lo:lo + _WRITE_CHUNK]
+            _write_lines(fh, [_digit_cells(np.arange(lo, lo + len(labels)),
+                                           attr.n - 1),
+                              _digit_cells(labels, labels.max())])
 
 
 def _sample_pair_indices(rng, n, p):

@@ -21,6 +21,7 @@ from vacdks import (
     save_attributes,
     save_edge_list,
 )
+from vacdks import graph as graph_module
 from vacdks.graph import _pairs_from_indices
 
 from conftest import graphs_equal, small_instances
@@ -254,6 +255,114 @@ def test_save_load_round_trip_property(instance, isolated):
     densified = [remap.setdefault(int(v), len(remap)) for v in labels]
     assert attr2.labels.tolist() == densified
     assert attr2.r == len(remap)
+
+
+def save_edge_list_reference(graph, path):
+    """The line loop: one f-string per edge."""
+    u, v, w = graph.edge_arrays()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# n {graph.n}\n")
+        for a, b, c in zip(u.tolist(), v.tolist(), w.tolist()):
+            fh.write(f"{a} {b} {c!r}\n")
+
+
+def save_attributes_reference(attr, path):
+    """The line loop: one f-string per vertex."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for v, g in enumerate(attr.labels.tolist()):
+            fh.write(f"{v} {g}\n")
+
+
+def written_bytes(save, obj):
+    with tempfile.TemporaryDirectory() as d:
+        save(obj, Path(d, "out.tsv"))
+        return Path(d, "out.tsv").read_bytes()
+
+
+# Weights whose repr is exponent or long-mantissa text, and the extremes.
+SPECIAL_WEIGHTS = [5e-324, 1e-05, 1e-4, 2.5e-7, 3.0, 1e16,
+                   9.999999999999999e15, 1.7976931348623157e+308]
+# Ids on either side of a change in digit count.
+DIGIT_EDGES = [0, 1, 8, 9, 10, 11, 98, 99, 100, 101, 998, 999, 1000, 1001]
+
+
+@st.composite
+def writer_inputs(draw):
+    """(graph, attr): edges among ids that cross 9/10, 99/100 and 999/1000,
+    isolated trailing vertices, unit or drawn weights, and labels (a drawn
+    run repeated over the n vertices)."""
+    ids = st.one_of(st.sampled_from(DIGIT_EDGES),
+                    st.integers(min_value=0, max_value=1001))
+    pairs = draw(st.lists(st.tuples(ids, ids).filter(lambda e: e[0] != e[1]),
+                          max_size=30,
+                          unique_by=lambda e: (min(e), max(e))))
+    top = max((max(e) for e in pairs), default=-1)
+    n = top + 1 + draw(st.integers(min_value=0, max_value=3))
+    weights = None
+    if draw(st.booleans()):
+        weights = draw(st.lists(
+            st.one_of(st.sampled_from(SPECIAL_WEIGHTS),
+                      st.floats(min_value=0.0, exclude_min=True,
+                                allow_infinity=False)),
+            min_size=len(pairs), max_size=len(pairs)))
+    graph = WeightedGraph.from_edges(n, [a for a, _ in pairs],
+                                     [b for _, b in pairs], weights)
+    r = draw(st.sampled_from([1, 2, 10, 11, 101]))
+    labels = draw(st.lists(st.integers(min_value=0, max_value=r - 1),
+                           min_size=1, max_size=12))
+    return graph, AttributeAssignment.from_labels(np.resize(labels, n), r=r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(writer_inputs())
+def test_writers_match_the_line_loop(instance):
+    """The numpy-built text is the line loop's, byte for byte, also where
+    a chunk boundary falls inside the file."""
+    graph, attr = instance
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_WRITE_CHUNK", 3)
+        assert (written_bytes(save_edge_list, graph)
+                == written_bytes(save_edge_list_reference, graph))
+        assert (written_bytes(save_attributes, attr)
+                == written_bytes(save_attributes_reference, attr))
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_writers_on_edgeless_graphs(n):
+    graph = WeightedGraph.from_edges(n, [], [])
+    attr = AttributeAssignment.from_labels(np.zeros(n, dtype=np.int64), r=1)
+    assert written_bytes(save_edge_list, graph) == f"# n {n}\n".encode()
+    assert (written_bytes(save_attributes, attr)
+            == "".join(f"{v} 0\n" for v in range(n)).encode())
+
+
+# SHA-256 of the edges.tsv and attrs.tsv the line loop wrote for the
+# generator's pairwise and skip-sampling paths, unweighted and weighted.
+WRITER_HASHES = [
+    (300, 0.05, 9, False,
+     "431df37c3e7db1f8d73471acf59fa93248a782cf90516ba0123290574f19d4b9",
+     "6c7a584332a3e240996190a8e4312be673829368c495f423ce149361d9fd5edf"),
+    (300, 0.05, 9, True,
+     "dfbdc89d73908c28c892a173ffce4e1252f858ebcf91f73d6f4193db11544f34",
+     "6c7a584332a3e240996190a8e4312be673829368c495f423ce149361d9fd5edf"),
+    (2500, 0.01, 12, False,
+     "f5ebc636d7a76f4871c0ec005ba9ea41350102420d43e98a32f985bc1f5a3c78",
+     "5216faf3759f75dd319c907d74fac8a67bfbee935370039a3c47fdcb5d441217"),
+    (2500, 0.01, 12, True,
+     "e1ced5937fa236898add6dc640581745c8d66c5424d1ce67c1c53ce25e024b15",
+     "5216faf3759f75dd319c907d74fac8a67bfbee935370039a3c47fdcb5d441217"),
+]
+
+
+@pytest.mark.parametrize("n, p, k, weighted, edges_sha, attrs_sha",
+                         WRITER_HASHES)
+def test_written_files_are_bit_identical(n, p, k, weighted, edges_sha,
+                                         attrs_sha):
+    cfg = PlantedCliqueConfig(n=n, p=p, k=k, r=3, weighted=weighted, seed=3)
+    graph, attr, _ = generate_planted_clique(cfg)
+    for save, obj, digest in ((save_edge_list, graph, edges_sha),
+                              (save_attributes, attr, attrs_sha)):
+        assert hashlib.sha256(written_bytes(save, obj)).hexdigest() == digest
 
 
 class TestInducedWeight:
