@@ -13,6 +13,32 @@ from .graph import WeightedGraph, induced_weight
 BRUTE_FORCE_LIMIT = 10**7
 
 
+def _peel_keys(graph: WeightedGraph):
+    """(key, sentinel, floor, step): the peel's weighted degrees, the key of
+    a removed or frozen vertex, the least such key, and the decrement per
+    CSR entry.
+
+    On unit weights the keys are exact degrees in the narrowest signed
+    integer that holds 2D + 1 (D the largest degree), on which ``argmin``
+    is 2-6x faster than on float64 and picks the same vertices. The
+    sentinel is the dtype's max: it falls at most D times, so it stays at
+    or above sentinel - D > D, above every live key. Other weights keep
+    float64 keys and ``inf``.
+    """
+    adj = graph.adj
+    # Reductions, not an nnz-sized mask: adj.data has 25M entries at 50k.
+    if graph.w_max == 1.0 and adj.data.min() == 1.0:
+        degree = np.diff(adj.indptr)
+        top = int(degree.max())
+        dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                     if np.iinfo(t).max >= 2 * top + 1)
+        sentinel = int(np.iinfo(dtype).max)
+        step = np.broadcast_to(dtype(1), (adj.nnz,))  # zero-stride ones
+        return degree.astype(dtype), sentinel, sentinel - top, step
+    key = np.asarray(adj.sum(axis=1)).ravel().astype(np.float64)
+    return key, np.inf, np.inf, adj.data
+
+
 def greedy_peel(graph: WeightedGraph, spec: ConstraintSpec) -> np.ndarray:
     """Remove minimum-(weighted-)degree removable vertices until k remain.
 
@@ -20,10 +46,11 @@ def greedy_peel(graph: WeightedGraph, spec: ConstraintSpec) -> np.ndarray:
     removal; ties go to the lower vertex id. Returns the sorted survivor ids,
     always a feasible set of size k.
 
-    Each removal is one vectorized ``argmin`` over a float key per vertex:
-    its weighted degree among survivors, or inf once it is removed or its
-    group is frozen. Group counts only shrink, so a group that reaches its
-    minimum never loses a member again: its members' keys stay inf, and
+    Each removal is one ``argmin`` over a key per vertex (its weighted
+    degree among survivors, or a sentinel once it is removed or its group
+    is frozen; see ``_peel_keys``) and one ``np.subtract.at`` over its CSR
+    row. Group counts only shrink, so a group that reaches its minimum
+    never loses a member again: its members' keys stay sentinels, and
     ``argmin`` (first minimum, hence the lower id on ties) only ever picks
     removable vertices.
     """
@@ -32,28 +59,30 @@ def greedy_peel(graph: WeightedGraph, spec: ConstraintSpec) -> np.ndarray:
     # Memoryviews give Python ints per index, as fast as a list and with
     # no copy of the arrays.
     indptr, labels = memoryview(adj.indptr), memoryview(spec.attr.labels)
-    indices, data = adj.indices, adj.data
+    indices = adj.indices
     groups = spec.attr.groups
     mins = list(spec.mins)
     counts = [len(members) for members in groups]
-    key = np.asarray(adj.sum(axis=1)).ravel().astype(np.float64)
+    key, sentinel, floor, step = _peel_keys(graph)
     for g, members in enumerate(groups):
         if counts[g] <= mins[g]:
-            key[members] = np.inf
+            key[members] = sentinel
     alive = np.ones(graph.n, dtype=bool)
-    argmin, inf = key.argmin, np.inf
+    argmin, subtract_at = key.argmin, np.subtract.at
     for _ in range(graph.n - spec.k):
         v = int(argmin())
-        if key[v] == inf:
+        if key[v] >= floor:
             raise AssertionError("no removable vertex before reaching size k")
         alive[v] = False
-        key[v] = inf
+        key[v] = sentinel
         lo, hi = indptr[v], indptr[v + 1]
-        key[indices[lo:hi]] -= data[lo:hi]
+        # CSR rows hold distinct columns, so this is the one subtraction per
+        # key of a fancy-indexed -=, which is slower on numpy >= 1.25.
+        subtract_at(key, indices[lo:hi], step[lo:hi])
         g = labels[v]
         counts[g] -= 1
         if counts[g] == mins[g]:
-            key[groups[g]] = inf
+            key[groups[g]] = sentinel
     return np.flatnonzero(alive)
 
 

@@ -21,6 +21,7 @@ from .baselines import brute_force, greedy_peel, lrbo_rank1
 from .constraints import ConstraintSpec, is_feasible_binary, validate
 from .fw import FwConfig, solve_fw
 from .graph import (
+    AttributeAssignment,
     GraphFormatError,
     PlantedCliqueConfig,
     generate_planted_clique,
@@ -312,13 +313,28 @@ def _summarize(records):
     return summary
 
 
+def _first_seen_groups(attr):
+    """Groups renumbered in order of their lowest vertex id.
+
+    ``load_attributes`` numbers groups as they first appear in the file
+    ``generate`` writes, in vertex order; so do campaigns, and a ``--min``
+    list constrains the same groups in ``solve`` and ``bench``. Empty
+    groups keep the last numbers.
+    """
+    first = [members[0] if len(members) else attr.n for members in attr.groups]
+    rank = np.empty(attr.r, dtype=np.int64)
+    rank[np.argsort(first, kind="stable")] = np.arange(attr.r)
+    return AttributeAssignment.from_labels(rank[attr.labels], r=attr.r)
+
+
 def _bench_seed(ctx, methods, generator, mins, fw_cfg):
     """One seed's runs on one instance, which is freed when this returns."""
     seed = generator["seed"]
     try:
         graph, attr, planted = generate_planted_clique(
             PlantedCliqueConfig(**generator))
-        spec = ConstraintSpec(k=generator["k"], mins=mins, attr=attr)
+        spec = ConstraintSpec(k=generator["k"], mins=mins,
+                              attr=_first_seen_groups(attr))
         validate(spec, graph)
     except ValueError as exc:
         error = f"{type(exc).__name__}: {exc}"

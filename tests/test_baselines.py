@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings
+from hypothesis import strategies as st
 
 from vacdks import (
     AttributeAssignment,
@@ -14,6 +15,7 @@ from vacdks import (
     is_feasible_binary,
     lrbo_rank1,
 )
+from vacdks.baselines import _peel_keys
 
 from conftest import (
     enumerate_feasible,
@@ -43,7 +45,77 @@ def peel_reference(graph, spec):
     return np.array(sorted(alive))
 
 
+def doubled(graph):
+    """The same edges with every weight 2.0: exactly scaled float keys."""
+    u, v, _ = graph.edge_arrays()
+    return WeightedGraph.from_edges(graph.n, u, v, np.full(len(u), 2.0))
+
+
+@st.composite
+def unit_weight_instances(draw, max_n=60):
+    """A dense unit-weight graph, so degrees tie often, and a random spec."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    density = draw(st.sampled_from([0.3, 0.6, 0.9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    iu, iv = np.triu_indices(n, k=1)
+    keep = rng.random(len(iu)) < density
+    r = draw(st.integers(min_value=1, max_value=3))
+    labels = rng.integers(0, r, size=n).tolist()
+    k = draw(st.integers(min_value=1, max_value=n))
+    mins, budget = [], k
+    for i in range(r):
+        cap = min(labels.count(i), budget)
+        ki = draw(st.one_of(st.just(0), st.just(cap),
+                            st.integers(min_value=0, max_value=cap)))
+        mins.append(ki)
+        budget -= ki
+    return make_instance(n, list(zip(iu[keep].tolist(), iv[keep].tolist())),
+                         None, labels, k, mins)
+
+
+def frozen_hub_star(degree):
+    """Hub 0, alone in group 1 with minimum 1, joined to ``degree`` leaves.
+
+    With k = 1 every leaf is removed, so the hub's sentinel key falls by
+    one per leaf and ends exactly at sentinel - D.
+    """
+    n = degree + 1
+    labels = [1] + [0] * degree
+    return make_instance(n, [(0, leaf) for leaf in range(1, n)], None,
+                         labels, 1, [0, 1])
+
+
 class TestGreedyPeel:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(unit_weight_instances())
+    def test_unit_keys_match_reference_and_float_keys(self, instance):
+        graph, spec = instance
+        sel = greedy_peel(graph, spec)
+        np.testing.assert_array_equal(sel, peel_reference(graph, spec))
+        heavy = doubled(graph)
+        if graph.m:
+            unit_keys = _peel_keys(graph)[0]
+            assert unit_keys.dtype.kind == "i"
+            assert _peel_keys(heavy)[0].dtype == np.float64
+            event(f"{unit_keys.dtype} keys")
+        np.testing.assert_array_equal(sel, greedy_peel(heavy, spec))
+
+    @pytest.mark.parametrize("degree, dtype", [
+        (2**6 - 1, np.int8), (2**6, np.int16),
+        (2**14 - 1, np.int16), (2**14, np.int32),
+    ])
+    def test_frozen_hub_ends_at_the_floor(self, degree, dtype):
+        graph, spec = frozen_hub_star(degree)
+        key, sentinel, floor, step = _peel_keys(graph)
+        assert key.dtype == dtype
+        assert (sentinel, floor) == (np.iinfo(dtype).max,
+                                     np.iinfo(dtype).max - degree)
+        assert floor > degree and step.strides == (0,)
+        sel = greedy_peel(graph, spec)
+        np.testing.assert_array_equal(sel, [0])
+        np.testing.assert_array_equal(sel, greedy_peel(doubled(graph), spec))
+
     def test_returns_feasible_k_set(self, rng):
         for _ in range(30):
             n = int(rng.integers(4, 20))

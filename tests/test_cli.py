@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from vacdks import (
+    AttributeAssignment,
     ConstraintSpec,
     FwConfig,
     cli,
@@ -383,24 +384,36 @@ class TestBench:
         assert s["normalized_mean"] is None and s["normalized_std"] is None
         assert s["wall_mean"] >= 0.0
 
+    def test_first_seen_groups_keeps_empty_groups_last(self):
+        attr = AttributeAssignment.from_labels([2, 0, 2, 1, 0], r=4)
+        renumbered = cli._first_seen_groups(attr)
+        assert renumbered.r == 4
+        assert renumbered.labels.tolist() == [0, 1, 0, 2, 1]
+        assert len(renumbered.groups[3]) == 0
+
     def test_solve_and_bench_records_agree(self, tmp_path, monkeypatch,
                                            capsys):
         """Equal records but for ``instance`` and ``wall_seconds``.
 
-        The instance's first-seen group order is not 0, 1, so the two
-        commands number its groups differently.
+        The generator's labels first appear as 1, 0, and both commands
+        number the groups in that first-seen order, so the unequal minimums
+        constrain the same groups.
         """
         flags = ["--n", "16", "--p", "0.3", "--k", "4", "--r", "2",
                  "--weighted"]
+        mins = ["--min", "1", "--min", "2"]
         inst = tmp_path / "inst"
         assert main(["generate", *flags, "--out", str(inst)]) == 0
+        order = list(dict.fromkeys(
+            int(line.split()[1])
+            for line in (inst / "attrs.tsv").read_text().splitlines()))
+        assert order == [1, 0]
         solved = {}
         for method in cli.METHODS:
             capsys.readouterr()
             assert main(["solve", method, "--edges", str(inst / "edges.tsv"),
                          "--attrs", str(inst / "attrs.tsv"), "--k", "4",
-                         "--min-all", "1",
-                         "--planted", str(inst / "planted.txt")]) == 0
+                         *mins, "--planted", str(inst / "planted.txt")]) == 0
             solved[method] = json.loads(capsys.readouterr().out)
         benched = []
         summarize = cli._summarize
@@ -411,19 +424,11 @@ class TestBench:
 
         monkeypatch.setattr(cli, "_summarize", keeping)
         assert main(["bench", "--methods", ",".join(cli.METHODS), *flags,
-                     "--min-all", "1", "--seeds", "1",
+                     *mins, "--seeds", "1",
                      "--out", str(tmp_path / "bench")]) == 0
-        # load_attributes numbers the groups in first-seen order, the
-        # campaign by the generator's labels: loaded group j is label order[j].
-        order = list(dict.fromkeys(
-            int(line.split()[1])
-            for line in (inst / "attrs.tsv").read_text().splitlines()))
-        assert order == [1, 0]
         assert [rec["method"] for rec in benched] == list(cli.METHODS)
         for rec in benched:
             assert list(rec) == RECORD_KEYS
-            for key in ("group_counts", "group_proportions"):
-                rec[key] = [rec[key][g] for g in order]
             drop = ("instance", "wall_seconds")
             assert ({k: v for k, v in rec.items() if k not in drop}
                     == {k: v for k, v in solved[rec["method"]].items()
