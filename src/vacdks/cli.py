@@ -62,10 +62,10 @@ def _add_instance_flags(p):
 
 
 def _add_solver_flags(p):
-    p.add_argument("--lambda", type=float, default=None, dest="lam",
+    p.add_argument("--lambda", type=float, default=FwConfig.lam, dest="lam",
                    help="diagonal loading (default: w_max)")
-    p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--gap-tol", type=float, default=1e-6)
+    p.add_argument("--max-iters", type=int, default=FwConfig.max_iters)
+    p.add_argument("--gap-tol", type=float, default=FwConfig.gap_tol)
 
 
 def _config(cls, **fields):
@@ -123,14 +123,14 @@ def _emit(obj, out):
 
 
 def _run_method(method, graph, spec, fw_cfg):
-    """Run one solver; returns (vertex array, iteration count or None)."""
+    """Run one solver; returns (vertex array, FwTrace or None)."""
     if method in ("fw", "fw+peel"):
         x0 = None
         if method == "fw+peel":  # warm start at the peeled set
             x0 = np.zeros(graph.n)
             x0[greedy_peel(graph, spec)] = 1.0
         _, sel, trace = solve_fw(graph, spec, fw_cfg, x0=x0)
-        return sel, trace.iterations
+        return sel, trace
     if method == "peel":
         return greedy_peel(graph, spec), None
     if method == "lrbo":
@@ -145,7 +145,7 @@ def _run_method(method, graph, spec, fw_cfg):
 def _solve_record(method, graph, spec, fw_cfg, instance, seed, planted):
     """Run, time and check one method; its record for ``solve`` and ``bench``."""
     start = time.perf_counter()
-    sel, iterations = _run_method(method, graph, spec, fw_cfg)
+    sel, trace = _run_method(method, graph, spec, fw_cfg)
     wall = time.perf_counter() - start
     if not is_feasible_binary(spec, sel):
         raise RuntimeError(f"{method} produced an infeasible selection")
@@ -162,7 +162,7 @@ def _solve_record(method, graph, spec, fw_cfg, instance, seed, planted):
         "group_counts": counts.tolist(),
         "group_proportions": (counts / len(sel)).tolist(),
         "recovery": None if planted is None else recovery_check(planted, sel),
-        "iterations": iterations,
+        "iterations": None if trace is None else trace.iterations,
         "wall_seconds": wall,
     }
 
@@ -227,17 +227,10 @@ def cmd_bound(args):
     return 0
 
 
-def _bench_run(payload):
-    """One campaign cell: the record of one solve on the campaign's instance."""
-    generator = payload["generator"]
-    return _solve_record(payload["method"], payload["graph"], payload["spec"],
-                         payload["fw_cfg"], {"generator": generator},
-                         generator["seed"], payload["planted"])
-
-
-def _bench_worker(payload, conn):
+def _bench_worker(conn, *record_args):
+    """Send ``_solve_record(*record_args)``, one campaign cell, down ``conn``."""
     try:
-        conn.send(("ok", _bench_run(payload)))
+        conn.send(("ok", _solve_record(*record_args)))
     except Exception as exc:  # recorded per-run; the campaign continues
         conn.send(("error", f"{type(exc).__name__}: {exc}"))
     finally:
@@ -248,15 +241,15 @@ def _bench_worker(payload, conn):
 _BENCH_RUN_TIMEOUT_S = 3600.0
 
 
-def _run_isolated(ctx, payload, timeout):
-    """Run ``_bench_worker(payload, conn)`` in a fresh process; never hangs.
+def _run_isolated(ctx, record_args, timeout):
+    """Run ``_bench_worker(conn, *record_args)`` in a fresh process; never hangs.
 
     Returns the (status, result) pair the worker sent. A worker that exits
     without sending (killed, crashed, ``os._exit``) or sends nothing within
     ``timeout`` seconds yields ("error", reason) and is killed if still alive.
     """
     parent, child = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_bench_worker, args=(payload, child))
+    proc = ctx.Process(target=_bench_worker, args=(child, *record_args))
     proc.start()
     # Only the worker may hold the sending end, or its death is no EOF here.
     child.close()
@@ -339,12 +332,11 @@ def _bench_seed(ctx, methods, generator, mins, fw_cfg):
     except ValueError as exc:
         error = f"{type(exc).__name__}: {exc}"
         return [{"method": m, "seed": seed, "error": error} for m in methods]
-    instance = {"graph": graph, "spec": spec, "planted": planted,
-                "generator": generator, "fw_cfg": fw_cfg}
     records = []
     for method in methods:
-        status, result = _run_isolated(ctx, {**instance, "method": method},
-                                       _BENCH_RUN_TIMEOUT_S)
+        status, result = _run_isolated(
+            ctx, (method, graph, spec, fw_cfg, {"generator": generator}, seed,
+                  planted), _BENCH_RUN_TIMEOUT_S)
         records.append(result if status == "ok" else
                        {"method": method, "seed": seed, "error": result})
     return records
@@ -410,7 +402,8 @@ def build_parser():
     p.add_argument("--k", type=int, required=True, help="subgraph size")
     _add_spec_flags(p)
     _add_solver_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="recorded in the output only; no method is seeded")
     p.add_argument("--planted", default=None,
                    help="ground-truth vertex file for recovery checking")
     p.add_argument("--out", default=None, help="also write the JSON here")

@@ -192,6 +192,10 @@ def load_edge_list(path, unweighted_default=False, n=None) -> WeightedGraph:
                             raise GraphFormatError(
                                 f"{path}:{lineno}: bad vertex count "
                                 f"{header[1]!r}") from exc
+                        if declared_n > _MAX_N:
+                            raise GraphFormatError(
+                                f"{path}:{lineno}: vertex count "
+                                f"{declared_n} too large")
                     continue
                 parts = line.split()
                 if not us:  # the first edge line
@@ -212,6 +216,9 @@ def load_edge_list(path, unweighted_default=False, n=None) -> WeightedGraph:
                 if u < 0 or v < 0:
                     raise GraphFormatError(
                         f"{path}:{lineno}: negative vertex id")
+                if max(u, v) >= _MAX_N:
+                    raise GraphFormatError(
+                        f"{path}:{lineno}: vertex id {max(u, v)} too large")
                 if u == v:
                     raise GraphFormatError(
                         f"{path}:{lineno}: self-loop on vertex {u}")
@@ -248,6 +255,9 @@ def load_edge_list(path, unweighted_default=False, n=None) -> WeightedGraph:
     n_final = max(inferred, declared_n, n or 0)
     return WeightedGraph.from_edges(n_final, us, vs, ws)
 
+
+# The largest vertex count: n, and so every id + 1, must fit in an int64.
+_MAX_N = np.iinfo(np.int64).max
 
 _EDGE_ROW_DTYPES = {
     2: np.dtype([("u", np.int64), ("v", np.int64)]),
@@ -312,7 +322,7 @@ def _numpy_parse(path, lineno, ncols, unweighted_default, n_min):
     n_final = max(int(u.max()) + 1, int(v.max()) + 1, n_min)
     try:
         upper, w_max = _upper_triangle(n_final, u, v, w)
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: n_final > _MAX_N
         return None
     del u, v, w
     return WeightedGraph(adj=_mirror(upper), w_max=w_max)
@@ -443,13 +453,13 @@ def _sample_pair_indices(rng, n, p):
     chunks = []
     pos = -1
     batch = int(total * p + 10 * math.sqrt(total * p + 1)) + 16
-    while True:
+    while pos < total:
         gaps = rng.geometric(p, size=batch)
+        # At tiny p a gap saturates at the int64 maximum and the sum wraps;
+        # since pos >= -1, a gap clipped at total + 1 still lands past the end.
+        np.minimum(gaps, total + 1, out=gaps)
         steps = np.cumsum(gaps) + pos
-        if steps[-1] >= total:
-            chunks.append(steps[steps < total])
-            break
-        chunks.append(steps)
+        chunks.append(steps[:np.searchsorted(steps, total)])
         pos = int(steps[-1])
         batch = max(1024, int((total - 1 - pos) * p * 1.2) + 16)
     return np.concatenate(chunks)

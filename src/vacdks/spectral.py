@@ -96,7 +96,8 @@ def _lanczos_sigma2(adj, eig1, v1):
     beta_j*|e_j^T y| an upper one (Parlett, The Symmetric Eigenvalue
     Problem, ch. 13). The run ends once the padded value exceeds the
     largest |theta| by at most ``SIGMA2_TOL`` relative, or after
-    ``SIGMA2_MAX_STEPS`` steps.
+    ``SIGMA2_MAX_STEPS`` steps, which warns: nothing then shows the last
+    padded value to lie above ||M||.
     """
     n = adj.shape[0]
     q = np.random.default_rng(1).standard_normal(n)
@@ -120,4 +121,7 @@ def _lanczos_sigma2(adj, eig1, v1):
             return
         betas.append(beta)
         q_prev, q = q, w / beta
+    warnings.warn(
+        f"sigma_2 Lanczos run not converged after {SIGMA2_MAX_STEPS} steps; "
+        "its estimate may lie below ||M||", RuntimeWarning, stacklevel=2)
 

@@ -227,6 +227,15 @@ class TestSolve:
         record = json.loads(capsys.readouterr().out)
         assert list(record) == RECORD_KEYS
 
+    @pytest.mark.parametrize("command", [
+        ["solve", "fw", "--edges", "e", "--attrs", "a", "--k", "4"],
+        ["bench", "--methods", "fw", "--n", "40", "--p", "0.1", "--k", "4",
+         "--r", "2", "--seeds", "1", "--out", "x"],
+    ], ids=lambda command: command[0])
+    def test_solver_flag_defaults_are_the_config_defaults(self, command):
+        args = cli.build_parser().parse_args(command)
+        assert cli._fw_config(args) == FwConfig()
+
     @pytest.mark.parametrize("flags", BAD_SOLVER_FLAGS, ids="=".join)
     def test_bad_solver_flags_exit_1(self, instance_dir, flags, capsys):
         rc = main(solve_args(instance_dir, "fw", *flags))
@@ -467,10 +476,8 @@ class TestBench:
         g, attr, planted = graph.generate_planted_clique(
             graph.PlantedCliqueConfig(**generator))
         spec = ConstraintSpec(k=6, mins=(2, 2, 2), attr=attr)
-        payload = {"method": "fw", "graph": g, "spec": spec,
-                   "planted": planted, "generator": generator,
-                   "fw_cfg": FwConfig()}
-        record = cli._bench_run(payload)
+        record = cli._solve_record("fw", g, spec, FwConfig(),
+                                   {"generator": generator}, 0, planted)
         # the timed run is the only solve, and it computes the eigenpair
         assert len(calls) == 1
         assert record["iterations"] >= 1
@@ -507,9 +514,9 @@ class TestBench:
             graphs.append(weakref.ref(g))
             return g, attr, planted
 
-        def fake_run(ctx, payload, timeout):
-            return "ok", {"method": payload["method"],
-                          "seed": payload["generator"]["seed"],
+        def fake_run(ctx, record_args, timeout):
+            method, _, _, _, _, seed, _ = record_args
+            return "ok", {"method": method, "seed": seed,
                           "normalized": 1.0, "wall_seconds": 0.0}
 
         monkeypatch.setattr(cli, "generate_planted_clique", tracking)
@@ -585,9 +592,9 @@ class TestBench:
 
 
 # Bench workers for the spawn context: module-level so the child can import them.
-def _exit_without_result(payload, conn):
+def _exit_without_result(conn, *record_args):
     os._exit(3)
 
 
-def _hang_without_result(payload, conn):
+def _hang_without_result(conn, *record_args):
     time.sleep(120)

@@ -1,5 +1,8 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -95,6 +98,19 @@ class TestLoadEdgeList:
         assert str(path) in str(exc.value)
         assert isinstance(exc.value.__cause__, UnicodeDecodeError)
 
+    @pytest.mark.parametrize("text, message", [
+        ("0 1 1.0\n1 9223372036854775808 1.0\n",
+         ":2: vertex id 9223372036854775808 too large"),
+        ("0 9223372036854775807 1.0\n",
+         ":1: vertex id 9223372036854775807 too large"),
+        ("# n 9223372036854775808\n0 1 1.0\n",
+         ":1: vertex count 9223372036854775808 too large"),
+    ], ids=["id=2**63", "id=2**63-1", "header=2**63"])
+    def test_ids_past_int64_rejected(self, tmp_path, text, message):
+        """n = max id + 1 must fit in an int64, or the CSR build overflows."""
+        with pytest.raises(GraphFormatError, match=message):
+            load_edge_list(write(tmp_path, text))
+
     def test_header_declares_isolated_vertices(self, tmp_path):
         g = load_edge_list(write(tmp_path, "# n 7\r\n0 1 1.0\r\n"))
         assert (g.n, g.m) == (7, 1)
@@ -152,6 +168,20 @@ class TestGenerator:
         u, v, _ = g.edge_arrays()
         inside = set(planted.tolist())
         assert all(a in inside and b in inside for a, b in zip(u, v))
+
+    @pytest.mark.parametrize("p", [1e-18, 1e-300, 5e-324])
+    def test_skip_sampling_at_tiny_p_leaves_only_clique(self, p):
+        """Saturated geometric gaps neither wrap around nor loop forever."""
+        code = ("import sys; from vacdks import *; "
+                "g, _, _ = generate_planted_clique(PlantedCliqueConfig("
+                "n=3000, p=float(sys.argv[1]), k=3, r=1, seed=0)); print(g.m)")
+        src = str(Path(graph_module.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code, repr(p)], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "3"
 
     def test_paper_scale_planted_structure(self):
         cfg = PlantedCliqueConfig(n=10000, p=0.05, k=30, r=3, seed=7)

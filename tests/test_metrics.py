@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,7 +199,9 @@ class TestSpectral:
         n, top = 200, 3.0 * (1 + 1e-6)
         k = np.arange(n - 1)
         d = np.concatenate([[3.0], -top * (1 - 0.5 * (k / n) ** 2)])
-        s2 = second_singular_value(sparse.diags(d).tocsr(), 0.0, np.eye(n)[0])
+        with pytest.warns(RuntimeWarning, match="not converged after 300"):
+            s2 = second_singular_value(sparse.diags(d).tocsr(), 0.0,
+                                       np.eye(n)[0])
         assert top <= s2 <= top * (1 + 1e-8)
 
     def test_spectral_radius_bound_covers_dense(self, rng):
@@ -316,6 +320,19 @@ class TestUpperBoundAgainstReference:
         assert steps == full
         rep.to_dict()
         assert steps == full
+
+    def test_capped_sigma2_run_warns(self, monkeypatch):
+        # the bound settles after one Lanczos step; sigma_2 needs eight
+        cfg = PlantedCliqueConfig(n=30, p=0.05, k=2, r=1, seed=0)
+        g, attr, _ = generate_planted_clique(cfg)
+        spec = ConstraintSpec(k=2, mins=(0,), attr=attr)
+        monkeypatch.setattr(spectral, "SIGMA2_MAX_STEPS", 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = upper_bound(g, spec)
+            assert rep.bound == 1.0
+        with pytest.warns(RuntimeWarning, match="not converged after 2 steps"):
+            rep.to_dict()
 
 
 class TestUpperBound:
