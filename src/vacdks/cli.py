@@ -98,28 +98,22 @@ class UsageError(Exception):
     pass
 
 
-def _load_problem(args):
-    """The graph and validated spec of the instance, ``--k`` and minimum flags.
-
-    The attribute file fixes n; the edge list may omit trailing isolated
-    vertices, but may name no vertex the attributes leave unlabeled.
-    """
-    attr = load_attributes(args.attrs)
+def _load_problem(args, attr):
+    """The graph on ``attr``'s n vertices and the validated spec of ``--k``
+    and the minimum flags."""
     graph = load_edge_list(args.edges, unweighted_default=args.unweighted,
                            n=attr.n)
-    if graph.n > attr.n:
-        raise GraphFormatError(f"{args.attrs}: vertex {attr.n} unlabeled")
     spec = ConstraintSpec(k=args.k, mins=_resolve_mins(args, attr.r), attr=attr)
     validate(spec, graph)
     return graph, spec
 
 
 def _emit(obj, out):
-    """Print ``obj`` as one JSON line and, given ``out``, write it there."""
+    """Write ``obj`` as one JSON line to ``out``, if given; then print it."""
     text = json.dumps(obj)
-    print(text)
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
+    print(text)
 
 
 def _run_method(method, graph, spec, fw_cfg):
@@ -197,6 +191,7 @@ def cmd_generate(args):
 
 def cmd_solve(args):
     fw_cfg = _fw_config(args)
+    attr = load_attributes(args.attrs)
     planted = None
     if args.planted:
         tokens = read_text(args.planted).split()
@@ -209,12 +204,11 @@ def cmd_solve(args):
             if v < 0 or v in seen:
                 kind = "negative" if v < 0 else "repeated"
                 raise GraphFormatError(f"{args.planted}: {kind} vertex id {v}")
+            if v >= attr.n:
+                raise GraphFormatError(
+                    f"{args.planted}: vertex id {v} out of range [0, {attr.n})")
             seen.add(v)
-    graph, spec = _load_problem(args)
-    for v in planted or ():
-        if v >= graph.n:
-            raise GraphFormatError(
-                f"{args.planted}: vertex id {v} out of range [0, {graph.n})")
+    graph, spec = _load_problem(args, attr)
     _emit(_solve_record(args.method, graph, spec, fw_cfg,
                         {"edges": args.edges, "attrs": args.attrs},
                         args.seed, planted), args.out)
@@ -222,7 +216,7 @@ def cmd_solve(args):
 
 
 def cmd_bound(args):
-    graph, spec = _load_problem(args)
+    graph, spec = _load_problem(args, load_attributes(args.attrs))
     _emit(upper_bound(graph, spec).to_dict(), args.out)
     return 0
 

@@ -165,10 +165,10 @@ def load_edge_list(path, unweighted_default=False, n=None) -> WeightedGraph:
     unless ``unweighted_default`` is set, in which case they default to 1.
     Weights must be positive and finite. A comment of the form "# n <count>"
     (written by :func:`save_edge_list`) declares the vertex count so isolated
-    trailing vertices survive a round trip; an explicit ``n`` argument takes
-    the same role. Comments take a whole line: "#" inside an edge line is an
-    error. Malformed input raises :class:`GraphFormatError` naming the first
-    bad line, or only the file when it is not UTF-8 text.
+    trailing vertices survive a round trip; a given ``n`` is the vertex
+    count, so ids stay below it. Comments take a whole line: "#" inside an
+    edge line is an error. Malformed input raises :class:`GraphFormatError`
+    naming the first bad line, or only the file when it is not UTF-8 text.
 
     One loop reads the file line by line. At the first edge line it offers
     the rest of the file to :func:`_numpy_parse`; where that declines, the
@@ -176,6 +176,7 @@ def load_edge_list(path, unweighted_default=False, n=None) -> WeightedGraph:
     """
     us, vs, ws = [], [], []
     declared_n = 0
+    limit = n if n is not None else _MAX_N
     seen = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -188,20 +189,22 @@ def load_edge_list(path, unweighted_default=False, n=None) -> WeightedGraph:
                     if len(header) == 2 and header[0] == "n":
                         try:
                             declared_n = int(header[1])
+                            if declared_n < 0:
+                                raise ValueError(declared_n)
                         except ValueError as exc:
                             raise GraphFormatError(
                                 f"{path}:{lineno}: bad vertex count "
                                 f"{header[1]!r}") from exc
-                        if declared_n > _MAX_N:
+                        if declared_n > limit:
                             raise GraphFormatError(
                                 f"{path}:{lineno}: vertex count "
-                                f"{declared_n} too large")
+                                f"{declared_n} too large for n={limit}")
                     continue
                 parts = line.split()
                 if not us:  # the first edge line
                     graph = _numpy_parse(path, lineno, len(parts),
                                          unweighted_default,
-                                         max(declared_n, n or 0))
+                                         max(declared_n, n or 0), limit)
                     if graph is not None:
                         return graph
                 if len(parts) not in (2, 3):
@@ -216,9 +219,10 @@ def load_edge_list(path, unweighted_default=False, n=None) -> WeightedGraph:
                 if u < 0 or v < 0:
                     raise GraphFormatError(
                         f"{path}:{lineno}: negative vertex id")
-                if max(u, v) >= _MAX_N:
+                if max(u, v) >= limit:
                     raise GraphFormatError(
-                        f"{path}:{lineno}: vertex id {max(u, v)} too large")
+                        f"{path}:{lineno}: vertex id {max(u, v)} too large "
+                        f"for n={limit}")
                 if u == v:
                     raise GraphFormatError(
                         f"{path}:{lineno}: self-loop on vertex {u}")
@@ -286,17 +290,17 @@ def _loadtxt_rejects_float_ids():
 _FAST_PATH_AVAILABLE = _loadtxt_rejects_float_ids()
 
 
-def _numpy_parse(path, lineno, ncols, unweighted_default, n_min):
+def _numpy_parse(path, lineno, ncols, unweighted_default, n_min, limit):
     """The graph of the edge lines from ``lineno`` on, or None to decline.
 
     Takes a regular file when every line from ``lineno`` on is an edge line
     with ``ncols`` columns, the column count of line ``lineno``; the graph
     has at least ``n_min`` vertices. numpy's C reader parses the rows and
-    ``from_edges``'s first step runs every check on the arrays. Anything
-    either rejects returns None, so that the line loop reports the first bad
-    line with its number and the exact message. The parsed rows are freed
-    before the upper triangle is built, and the edge arrays before the
-    mirror allocates the symmetric CSR.
+    ``from_edges``'s first step runs every check, ids below ``limit`` too.
+    Anything either rejects returns None, so that the line loop reports the
+    first bad line with its number and the exact message. The parsed rows
+    are freed before the upper triangle is built, and the edge arrays before
+    the mirror allocates the symmetric CSR.
     """
     name = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
     # The file is opened a second time, which a pipe does not survive, and
@@ -319,10 +323,10 @@ def _numpy_parse(path, lineno, ncols, unweighted_default, n_min):
     u, v = rows["u"].copy(), rows["v"].copy()
     w = rows["w"].copy() if ncols == 3 else None
     del rows
-    n_final = max(int(u.max()) + 1, int(v.max()) + 1, n_min)
+    n_final = min(max(int(u.max()) + 1, int(v.max()) + 1, n_min), limit)
     try:
         upper, w_max = _upper_triangle(n_final, u, v, w)
-    except (ValueError, OverflowError):  # OverflowError: n_final > _MAX_N
+    except ValueError:
         return None
     del u, v, w
     return WeightedGraph(adj=_mirror(upper), w_max=w_max)

@@ -222,6 +222,36 @@ class TestSolve:
         assert captured.err == (f"vacdks: GraphFormatError: {bad}: "
                                 "vertex id 200 out of range [0, 200)\n")
 
+    def test_planted_id_checked_before_the_edge_list(
+            self, instance_dir, tmp_path, capsys, monkeypatch):
+        """The attributes fix n, so the edge list is never read."""
+        planted = (instance_dir / "planted.txt").read_text().split()
+        bad = tmp_path / "planted.txt"
+        bad.write_text("\n".join(["200"] + planted) + "\n", encoding="utf-8")
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("the edge list was read")
+
+        monkeypatch.setattr(cli, "load_edge_list", no_load)
+        assert main(solve_args(instance_dir, "peel", "--planted",
+                               str(bad))) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"vacdks: GraphFormatError: {bad}: "
+                                "vertex id 200 out of range [0, 200)\n")
+
+    @pytest.mark.parametrize("command", ["solve", "bound"])
+    def test_failed_out_write_prints_nothing(self, instance_dir, tmp_path,
+                                             capsys, command):
+        args = solve_args(instance_dir, "peel", "--out",
+                          str(tmp_path / "missing-dir" / "out.json"))
+        if command == "bound":
+            args = ["bound"] + args[2:]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "FileNotFoundError" in captured.err
+
     def test_record_keys_in_order(self, instance_dir, capsys):
         assert main(solve_args(instance_dir, "peel")) == 0
         record = json.loads(capsys.readouterr().out)
@@ -272,15 +302,16 @@ class TestSolve:
     def test_edge_list_beyond_the_labels_exit_2(self, tmp_path, capsys,
                                                 command):
         # the attribute file labels vertices 0-3; the edge list names 5
-        (tmp_path / "e.tsv").write_text("0 1 1.0\n1 2 1.0\n2 5 1.0\n")
+        edges = tmp_path / "e.tsv"
+        edges.write_text("0 1 1.0\n1 2 1.0\n2 5 1.0\n")
         attrs = tmp_path / "a.tsv"
         attrs.write_text("".join(f"{v} {v % 2}\n" for v in range(4)))
         args = [command] + (["peel"] if command == "solve" else []) + [
-            "--edges", str(tmp_path / "e.tsv"), "--attrs", str(attrs),
-            "--k", "2"]
+            "--edges", str(edges), "--attrs", str(attrs), "--k", "2"]
         assert main(args) == 2
         assert capsys.readouterr().err == (
-            f"vacdks: GraphFormatError: {attrs}: vertex 4 unlabeled\n")
+            f"vacdks: GraphFormatError: {edges}:3: vertex id 5 too large "
+            "for n=4\n")
 
 
 class TestBound:

@@ -36,7 +36,7 @@ WEIGHT_TEXT = st.one_of(
 )
 COMMENTS = st.one_of(
     st.sampled_from(["#", "# a comment", "#n 3", "# n", "# n 2 3", "#  x # y"]),
-    st.integers(min_value=-2, max_value=40).map(lambda k: f"# n {k}"),
+    st.integers(min_value=0, max_value=40).map(lambda k: f"# n {k}"),
 )
 BLANKS = st.sampled_from(["", " ", "\t", "  \t "])
 
@@ -95,10 +95,10 @@ def assert_same_graph(g1, g2):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-def load_reference(path, unweighted_default=False):
+def load_reference(path, unweighted_default=False, n=None):
     """``load_edge_list`` with the numpy parse off: the line loop alone."""
     with mock.patch.object(graph_module, "_FAST_PATH_AVAILABLE", False):
-        return load_edge_list(path, unweighted_default)
+        return load_edge_list(path, unweighted_default, n)
 
 
 @contextlib.contextmanager
@@ -115,15 +115,15 @@ def numpy_parse_results():
         yield results
 
 
-def check_against_reference(path, unweighted_default):
+def check_against_reference(path, unweighted_default, n=None):
     """The public loader matches the line loop alone.
 
     Returns the loop's outcome and the numpy parse's graph, which is None
     where numpy declined the file or never saw it.
     """
-    ref = outcome(lambda: load_reference(path, unweighted_default))
+    ref = outcome(lambda: load_reference(path, unweighted_default, n))
     with numpy_parse_results() as taken:
-        public = outcome(lambda: load_edge_list(path, unweighted_default))
+        public = outcome(lambda: load_edge_list(path, unweighted_default, n))
     assert len(taken) <= 1
     fast = taken[0] if taken else None
     assert public[0] == ref[0]
@@ -162,7 +162,7 @@ BAD_RECORDS = st.sampled_from([
     "0 13 1.0 # inline", "0 13 1.0#x",        # inline comment
     "0", "0 13 1.0 4",                        # 1 or 4 fields
     "0 13",                                   # missing weight
-    "# n abc",                                # bad header
+    "# n abc", "# n -1",                      # bad header
     "DUP", "DUP-REVERSED",                    # duplicate of an earlier edge
 ])
 
@@ -187,6 +187,46 @@ def test_bad_record_matches_reference(edge_path, spec, bad, data):
         assert ref[0] == "graph"
     else:
         assert ref[0] == "error" and f"{edge_path}:" in ref[1]
+
+
+# How far past a given n an injected id or "# n" count lies: just past it,
+# or anywhere up to past the int64 range numpy parses.
+PAST_N = st.one_of(st.integers(0, 3), st.integers(0, 2**64))
+
+
+@SETTINGS
+@given(spec=edge_files(), data=st.data())
+def test_given_n_bounds_ids_and_counts(edge_path, spec, data):
+    """A given n is the vertex count: an id at or above it, or a "# n" count
+    above it, fails at its line in both readers, and numpy declines the file
+    (``check_against_reference`` asserts that on every error)."""
+    lines, eols, unweighted_default = spec
+    edge_path.write_bytes(render(lines, eols).encode())
+    # Each "# n" count must fit, not only the last one, which the loader
+    # without n takes as a lower bound.
+    heads = [ln.strip()[1:].split() for ln in lines
+             if ln.strip().startswith("#")]
+    counts = [int(h[1]) for h in heads if len(h) == 2 and h[0] == "n"]
+    n = (max([load_reference(edge_path, unweighted_default).n] + counts)
+         + data.draw(st.integers(0, 3)))
+    ref, _ = check_against_reference(edge_path, unweighted_default, n)
+    assert ref[0] == "graph" and ref[1].n == n
+
+    past = n + data.draw(PAST_N)
+    if data.draw(st.booleans()):
+        ids = [past, data.draw(st.integers(0, n - 1))]
+        if data.draw(st.booleans()):
+            ids.reverse()
+        bad, what = f"{ids[0]} {ids[1]} 1.0", f"vertex id {past}"
+    else:
+        bad, what = f"# n {past + 1}", f"vertex count {past + 1}"
+    at = data.draw(st.integers(0, len(lines)))
+    lines = lines[:at] + [bad] + lines[at:]
+    eols = eols[:at] + [data.draw(EOLS)] + eols[at:]
+    edge_path.write_bytes(render(lines, eols).encode())
+    ref, _ = check_against_reference(edge_path, unweighted_default, n)
+    assert ref == ("error",
+                   f"{edge_path}:{at + 1}: {what} too large for n={n}")
 
 
 ASCII = st.characters(min_codepoint=0, max_codepoint=127)
