@@ -86,6 +86,22 @@ def greedy_peel(graph: WeightedGraph, spec: ConstraintSpec) -> np.ndarray:
     return np.flatnonzero(alive)
 
 
+def _bilinear_candidates(graph: WeightedGraph, spec: ConstraintSpec):
+    """The two sign candidates (x, y, x^T v1 u1^T y) of the rank-1 bilinear
+    form, u1 = eig1 * v1: x maximizes ±v1, y the sign of eig1 * v1^T x times
+    u1. The bilinear value is the larger third entry. ``spec`` must be
+    valid for ``graph``."""
+    eig1, v1, _ = graph.eigenpair
+    u1 = eig1 * v1
+    candidates = []
+    for sign in (1.0, -1.0):
+        x = lmo(spec, sign * v1)
+        cx = float(v1 @ x)
+        y = lmo(spec, np.sign(eig1 * cx) * u1 if eig1 * cx != 0 else u1)
+        candidates.append((x, y, cx * float(u1 @ y)))
+    return candidates
+
+
 def lrbo_rank1(graph: WeightedGraph, spec: ConstraintSpec):
     """Rank-1 low-rank bilinear optimization baseline.
 
@@ -98,14 +114,7 @@ def lrbo_rank1(graph: WeightedGraph, spec: ConstraintSpec):
     validate(spec, graph)
     if graph.m == 0:
         raise ValueError("LRBO requires a graph with at least one edge")
-    eig1, v1, _ = graph.eigenpair
-    u1 = eig1 * v1
-    candidates = []
-    for sign in (1.0, -1.0):
-        x = lmo(spec, sign * v1)
-        cx = float(v1 @ x)
-        y = lmo(spec, np.sign(eig1 * cx) * u1 if eig1 * cx != 0 else u1)
-        candidates.append((x, y, cx * float(u1 @ y)))
+    candidates = _bilinear_candidates(graph, spec)
     best_x, best_y, bilinear_value = max(candidates, key=lambda c: c[2])
     # Collapse the pair to one reported subgraph: the x candidate with the
     # larger induced weight (the bilinear optimum itself is a pair).

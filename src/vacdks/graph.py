@@ -70,17 +70,21 @@ def _upper_triangle(n, u, v, w):
     The first step of :meth:`WeightedGraph.from_edges`, apart so that a
     caller can drop its edge arrays before :func:`_mirror` allocates.
     """
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    w = (np.ones(len(u)) if w is None
-         else np.asarray(w, dtype=np.float64))
-    if not (len(u) == len(v) == len(w)):
+    # Integer ids keep the width they arrive in: an int32 pair stream is
+    # not copied to int64.
+    u, v = (x if x.dtype.kind in "iu" else np.asarray(x, dtype=np.int64)
+            for x in (np.asarray(u), np.asarray(v)))
+    if w is not None:
+        w = np.asarray(w, dtype=np.float64)
+    if len(u) != len(v) or (w is not None and len(w) != len(u)):
         raise ValueError("endpoint/weight arrays must have equal length")
     if len(u) and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
         raise ValueError("vertex id out of range")
     if np.any(u == v):
         raise ValueError("self-loops are not allowed")
-    if not np.all((w > 0) & (w < np.inf)):
+    if w is None:
+        w = np.ones(len(u))
+    elif not np.all((w > 0) & (w < np.inf)):
         raise ValueError("edge weights must be finite and strictly positive")
     # The CSR keeps int32 indices below 2**31 vertices, so lo/hi are built
     # in that width rather than cast from int64 copies.
@@ -337,32 +341,46 @@ _WRITE_CHUNK = 1 << 18
 
 
 def _digit_cells(x, top):
-    """The decimal digits of the non-negative ints ``x``, right-aligned and
-    NUL-padded to the width of ``top``, one uint8 row per entry."""
-    x = np.array(x, dtype=np.uint64)
-    cells = np.zeros((len(x), len(str(top))), dtype=np.uint8)
-    cells[:, -1] = x % 10 + ord("0")  # the one digit of 0 too
-    for col in range(cells.shape[1] - 2, -1, -1):
-        x //= 10
-        cells[:, col] = np.where(x > 0, x % 10 + ord("0"), 0)
+    """The decimal digits of the non-negative ints ``x`` (at most ``top``),
+    one uint8 column per entry, right-aligned and NUL-padded to the width
+    of ``top``. The divisions run in the narrowest unsigned type that holds
+    ``top``: uint16 below 65536 vertices."""
+    x = np.array(x, dtype=np.min_scalar_type(top))
+    cells = np.empty((len(str(top)), len(x)), dtype=np.uint8)
+    for row in range(len(cells) - 1, -1, -1):
+        q = x // 10
+        digit = x - q * 10  # numpy's % by a scalar is ~10x slower than //
+        digit += ord("0")
+        if row < len(cells) - 1:
+            digit *= x > 0  # NUL for a leading zero; 0 itself is "0"
+        cells[row] = digit
+        x = q
     return cells
 
 
 def _repr_cells(x):
-    """``repr`` of each float in ``x``, NUL-padded, one uint8 row per entry:
-    each distinct value is formatted once."""
+    """``repr`` of each float in ``x``, NUL-padded, one uint8 column per
+    entry: each distinct value is formatted once."""
     values, inverse = np.unique(x, return_inverse=True)
     table = np.array([repr(c) for c in values.tolist()], dtype=np.bytes_)
-    return table.view(np.uint8).reshape(len(values), -1)[inverse]
+    return np.take(table.view(np.uint8).reshape(len(values), -1).T, inverse,
+                   axis=1)
 
 
-def _write_lines(fh, blocks):
-    """Write one line per row of the cell blocks: each row's fields in
-    block order, joined by spaces. No field holds a NUL, so the padding
-    drops out."""
-    space = np.full((len(blocks[0]), 1), ord(" "), dtype=np.uint8)
-    cells = np.hstack([x for block in blocks for x in (block, space)])
-    cells[:, -1] = ord("\n")
+def _write_lines(fh, fields):
+    """Write one line per column of the cell fields: the column's fields in
+    order, joined by spaces. The fields fill the rows of one block, whose
+    transpose is the text; no field holds a NUL, so the padding drops out."""
+    rows = np.empty((sum(len(f) + 1 for f in fields), fields[0].shape[1]),
+                    dtype=np.uint8)
+    end = 0
+    for field in fields:
+        rows[end:end + len(field)] = field
+        end += len(field) + 1
+        rows[end - 1] = ord(" ")
+    rows[-1] = ord("\n")
+    # A mask on the strided view is 3x slower than a transposed copy and one.
+    cells = np.ascontiguousarray(rows.T)
     fh.write(cells[cells != 0].tobytes().decode("ascii"))
 
 
@@ -470,17 +488,38 @@ def _sample_pair_indices(rng, n, p):
 
 
 def _pairs_from_indices(t, n):
-    """Invert the lexicographic pair numbering: index -> (u, v), u < v."""
+    """Invert the lexicographic pair numbering: index -> (u, v), u < v.
+
+    ``t`` must be strictly increasing, as both sampling branches give it:
+    each row's pairs are then one run of ``t``, found by one search per row.
+    The ids are int32 when n fits, the CSR's index type.
+    """
     t = np.asarray(t, dtype=np.int64)
     rows = np.arange(n - 1, dtype=np.int64)
     offsets = rows * (2 * n - rows - 1) // 2  # index of the pair (u, u + 1)
-    u = np.searchsorted(offsets, t, side="right") - 1
-    return u, u + 1 + (t - offsets[u])
+    counts = np.diff(np.searchsorted(t, offsets), append=len(t))
+    idx = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    u = np.repeat(rows.astype(idx), counts)
+    v = np.empty(len(t), dtype=idx)
+    np.subtract(t, np.repeat(offsets - rows - 1, counts), out=v,
+                casting="same_kind")
+    return u, v
 
 
 # Above this size, pairwise Bernoulli sampling over all C(n,2) pairs is
 # replaced by geometric skip sampling.
 _PAIRWISE_LIMIT = 2000
+
+
+def _background_pair_indices(rng, n, p):
+    """Strictly increasing int64 indices of the pairs, each drawn with
+    probability p: one Bernoulli draw per pair up to ``_PAIRWISE_LIMIT``
+    vertices, geometric skip sampling above."""
+    if p <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    if n <= _PAIRWISE_LIMIT:
+        return np.flatnonzero(rng.random(n * (n - 1) // 2) < p)
+    return _sample_pair_indices(rng, n, p)
 
 
 def generate_planted_clique(cfg: PlantedCliqueConfig):
@@ -509,31 +548,25 @@ def generate_planted_clique(cfg: PlantedCliqueConfig):
         parts.append(members[perm[:quota]])
     planted = np.sort(np.concatenate(parts))
 
-    if p <= 0.0:
-        idx = np.empty(0, dtype=np.int64)
-    elif n <= _PAIRWISE_LIMIT:
-        idx = np.flatnonzero(rng.random(n * (n - 1) // 2) < p)
-    else:
-        idx = _sample_pair_indices(rng, n, p)
-    lo, hi = _pairs_from_indices(idx, n)
-
-    in_planted = np.zeros(n, dtype=bool)
-    in_planted[planted] = True
-    keep = ~(in_planted[lo] & in_planted[hi])
-    lo, hi = lo[keep], hi[keep]
-    if cfg.weighted:
-        w_bg = rng.uniform(0.8, 1.0, size=len(lo))
-    else:
-        w_bg = np.ones(len(lo))
-
+    idx = _background_pair_indices(rng, n, p)
+    # The clique's pair indices, increasing since planted is sorted. The
+    # background pairs among them are dropped, and the clique is merged in
+    # at its sorted positions: the pairs reach from_edges in CSR order.
     ci, cj = np.triu_indices(k, k=1)
     cu, cv = planted[ci], planted[cj]
-    us = np.concatenate([lo, cu])
-    vs = np.concatenate([hi, cv])
-    ws = np.concatenate([w_bg, np.ones(len(cu))])
-    # us, vs and ws hold these edges: free the rest before the build's peak.
-    del idx, lo, hi, w_bg, keep
-    graph = WeightedGraph.from_edges(n, us, vs, ws)
+    clique = cu * (2 * n - cu - 1) // 2 + (cv - cu - 1)
+    pos = np.searchsorted(idx, clique)
+    drawn = pos < len(idx)
+    drawn[drawn] = idx[pos[drawn]] == clique[drawn]
+    idx = np.delete(idx, pos[drawn])
+    at = np.searchsorted(idx, clique)
+    w = (np.insert(rng.uniform(0.8, 1.0, size=len(idx)), at, 1.0)
+         if cfg.weighted else None)
+    idx = np.insert(idx, at, clique)
+    lo, hi = _pairs_from_indices(idx, n)
+    # lo, hi and w hold the edges: free the indices before the build's peak.
+    del idx
+    graph = WeightedGraph.from_edges(n, lo, hi, w)
     return graph, attr, planted
 
 

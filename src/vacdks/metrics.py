@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import lrbo_rank1
+from .baselines import _bilinear_candidates
 from .constraints import ConstraintSpec, validate
 from .graph import (AttributeAssignment, WeightedGraph, _vertex_ids,
                     induced_weight)
@@ -123,7 +123,7 @@ def upper_bound(graph: WeightedGraph, spec: ConstraintSpec) -> BoundReport:
     w_max = graph.w_max
     eig1, v1, residual = graph.eigenpair
     sigma1 = spectral_radius_bound(graph.adj, v1)
-    bilinear_value = lrbo_rank1(graph, spec)[2]
+    bilinear_value = max(c[2] for c in _bilinear_candidates(graph, spec))
     term_sigma1 = sigma1 / (w_max * (k - 1))
     cap = min(1.0, term_sigma1)
 

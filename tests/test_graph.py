@@ -25,7 +25,8 @@ from vacdks import (
     save_edge_list,
 )
 from vacdks import graph as graph_module
-from vacdks.graph import _pairs_from_indices
+from vacdks.graph import (_PAIRWISE_LIMIT, _background_pair_indices,
+                          _pairs_from_indices, _sample_pair_indices)
 
 from conftest import graphs_equal, small_instances
 
@@ -429,10 +430,21 @@ def test_pair_index_inversion(rng):
     for n in (3, 10, 57, 2001):
         total = n * (n - 1) // 2
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        t = rng.integers(0, total, size=200)
+        t = np.unique(rng.integers(0, total, size=200))
         u, v = _pairs_from_indices(t, n)
         for ti, ui, vi in zip(t, u, v):
             assert pairs[ti] == (ui, vi)
+
+
+@pytest.mark.parametrize("n, p", [(2, 1.0), (57, 0.05), (_PAIRWISE_LIMIT, 0.0),
+                                  (_PAIRWISE_LIMIT, 0.05), (2001, 0.1),
+                                  (10000, 0.05), (3000, 1e-12), (3000, 1e-300)])
+def test_sampling_branches_give_increasing_indices(n, p):
+    """The pair decoder's contract, from the pairwise branch (n up to
+    _PAIRWISE_LIMIT) and the skip sampler: strictly increasing int64."""
+    t = _background_pair_indices(np.random.default_rng(5), n, p)
+    assert t.dtype == np.int64 and np.all(np.diff(t) > 0)
+    assert len(t) == 0 or (t[0] >= 0 and t[-1] < n * (n - 1) // 2)
 
 
 def test_from_edges_rejects_bad_input():
@@ -559,3 +571,98 @@ def test_generator_is_bit_identical(n, p, k, weighted, digest):
     for x in (a.data, a.indices, a.indptr):
         h.update(x.tobytes())
     assert h.hexdigest() == digest
+
+
+def generate_planted_clique_reference(cfg):
+    """The generator before the merged pair stream: decode every drawn pair,
+    mask out those inside the clique, and append the clique's pairs at the
+    end for from_edges to sort."""
+    rng = np.random.default_rng(cfg.seed)
+    n, p, k, r = cfg.n, cfg.p, cfg.k, cfg.r
+    labels = rng.integers(0, r, size=n)
+    attr = AttributeAssignment.from_labels(labels, r=r)
+    quota = k // r
+    parts = []
+    for i in range(r):
+        members = attr.groups[i]
+        if len(members) < quota:
+            raise ValueError(
+                f"group {i} has {len(members)} vertices, fewer than k/r={quota}")
+        perm = rng.permutation(len(members))
+        parts.append(members[perm[:quota]])
+    planted = np.sort(np.concatenate(parts))
+
+    if p <= 0.0:
+        idx = np.empty(0, dtype=np.int64)
+    elif n <= _PAIRWISE_LIMIT:
+        idx = np.flatnonzero(rng.random(n * (n - 1) // 2) < p)
+    else:
+        idx = _sample_pair_indices(rng, n, p)
+    rows = np.arange(n - 1, dtype=np.int64)
+    offsets = rows * (2 * n - rows - 1) // 2
+    lo = np.searchsorted(offsets, idx, side="right") - 1
+    hi = lo + 1 + (idx - offsets[lo])
+
+    in_planted = np.zeros(n, dtype=bool)
+    in_planted[planted] = True
+    keep = ~(in_planted[lo] & in_planted[hi])
+    lo, hi = lo[keep], hi[keep]
+    if cfg.weighted:
+        w_bg = rng.uniform(0.8, 1.0, size=len(lo))
+    else:
+        w_bg = np.ones(len(lo))
+
+    ci, cj = np.triu_indices(k, k=1)
+    cu, cv = planted[ci], planted[cj]
+    us = np.concatenate([lo, cu])
+    vs = np.concatenate([hi, cv])
+    ws = np.concatenate([w_bg, np.ones(len(cu))])
+    graph = WeightedGraph.from_edges(n, us, vs, ws)
+    return graph, attr, planted
+
+
+def generated_outcome(generate, cfg):
+    """The stored CSR arrays (bytes and dtypes), w_max, labels and planted
+    set of an instance, or its ValueError message."""
+    try:
+        g, attr, planted = generate(cfg)
+    except ValueError as exc:
+        return str(exc)
+    a = g.adj
+    return ([(x.dtype.str, x.tobytes()) for x in
+             (a.data, a.indices, a.indptr, attr.labels, planted)],
+            a.shape, g.w_max, attr.r)
+
+
+@st.composite
+def generator_configs(draw):
+    """Sizes on both sides of _PAIRWISE_LIMIT; p = 1 draws every clique
+    pair as a background pair first."""
+    n = draw(st.one_of(st.integers(min_value=12, max_value=60),
+                       st.integers(min_value=_PAIRWISE_LIMIT - 2,
+                                   max_value=_PAIRWISE_LIMIT + 2),
+                       st.integers(min_value=12, max_value=2600)))
+    p = draw(st.sampled_from([0.0, 1e-12, 0.05, 0.3, 1.0]))
+    if n > 300 and p >= 0.3:
+        # Keep each example's edge count near a million.
+        n = draw(st.integers(min_value=12, max_value=300))
+    r = draw(st.integers(min_value=1, max_value=4))
+    k = r * draw(st.one_of(st.integers(min_value=1, max_value=min(8, n // r)),
+                           st.integers(min_value=1, max_value=n // r)))
+    return PlantedCliqueConfig(n=n, p=p, k=k, r=r,
+                               weighted=draw(st.booleans()),
+                               seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_configs())
+@example(PlantedCliqueConfig(n=40, p=1.0, k=40, r=1, weighted=True, seed=0))
+@example(PlantedCliqueConfig(n=2000, p=0.05, k=12, r=3, seed=0))
+@example(PlantedCliqueConfig(n=2001, p=0.05, k=12, r=3, weighted=True, seed=0))
+@example(PlantedCliqueConfig(n=2600, p=0.3, k=1200, r=2, weighted=True, seed=1))
+@example(PlantedCliqueConfig(n=12, p=0.0, k=1, r=1, seed=0))
+def test_generator_matches_reference(cfg):
+    """The merged, already sorted pair stream builds the instance that
+    masking and appending the clique built, byte for byte."""
+    assert (generated_outcome(generate_planted_clique, cfg)
+            == generated_outcome(generate_planted_clique_reference, cfg))

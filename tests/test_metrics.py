@@ -21,7 +21,7 @@ from vacdks import (
     solve_fw,
     upper_bound,
 )
-from vacdks import graph, metrics, spectral
+from vacdks import baselines, graph, metrics, spectral
 from vacdks.constraints import validate
 from vacdks.metrics import DEGENERATE_GAP
 from vacdks.spectral import (dominant_eigenpair, power_iteration,
@@ -386,6 +386,16 @@ class TestUpperBound:
             rep = upper_bound(g, spec)
             assert len(calls) == 1
             assert rep.bilinear_value == lrbo_rank1(g, spec)[2]
+
+    def test_bound_computes_no_induced_weight(self, rng, monkeypatch):
+        """The bound takes the bilinear value alone, not LRBO's reported
+        subgraph, whose choice costs two induced weights."""
+        g = random_graph(rng, 20, min_edges=3)
+        spec = random_spec(rng, 20, k_min=2)
+        ref = lrbo_rank1(g, spec)[2]
+        calls = counting(monkeypatch, graph.induced_weight, graph, baselines)
+        assert upper_bound(g, spec).bilinear_value == ref
+        assert calls == []
 
     def test_degenerate_spectrum_flagged(self):
         # two disjoint equal edges give a repeated top singular value
