@@ -144,6 +144,7 @@ def _solve_record(method, graph, spec, fw_cfg, instance, seed, planted):
     if not is_feasible_binary(spec, sel):
         raise RuntimeError(f"{method} produced an infeasible selection")
     counts = np.bincount(spec.attr.labels[sel], minlength=spec.attr.r)
+    weight = induced_weight(graph, sel)
     return {
         "method": method,
         "instance": instance,
@@ -151,8 +152,9 @@ def _solve_record(method, graph, spec, fw_cfg, instance, seed, planted):
         "mins": list(spec.mins),
         "seed": seed,
         "vertices": [int(v) for v in sorted(sel)],
-        "objective": induced_weight(graph, sel),
-        "normalized": normalized_edge_weight(graph, sel) if spec.k >= 2 else None,
+        "objective": weight,
+        "normalized": (normalized_edge_weight(graph, sel, weight)
+                       if spec.k >= 2 else None),
         "group_counts": counts.tolist(),
         "group_proportions": (counts / len(sel)).tolist(),
         "recovery": None if planted is None else recovery_check(planted, sel),

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import AttributeAssignment, WeightedGraph, _vertex_ids
+from .graph import (AttributeAssignment, WeightedGraph, _support_product,
+                    _vertex_ids)
 
 # Feasibility tolerances for fractional points (floating-point slack). The
 # mass slack SUM_TOL*k is capped at SUM_SLACK_MAX, well below 1/2, so that no
@@ -135,23 +136,21 @@ def init_uniform(spec: ConstraintSpec) -> np.ndarray:
     return x
 
 
-def _top_k(values: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest values among candidates, ties by lower id.
+def _top_k(vals: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the k largest of ``vals``, ties to the lower position.
 
-    O(|candidates|) selection: with t the k-th largest value, takes every
-    candidate above t, then the first candidates equal to t until k are
-    taken. Candidates must be in ascending id order so that equal values
-    resolve to the lower id.
+    O(len(vals)) selection: with t the k-th largest value, takes every
+    entry above t, then the first entries equal to t until k are taken.
+    This is the first k of the order (value desc, position asc).
     """
     if k <= 0:
-        return candidates[:0]
-    vals = values[candidates]
+        return np.zeros(len(vals), dtype=bool)
     cut = len(vals) - k
     t = np.partition(vals, cut)[cut]
     take = vals > t
     ties = np.flatnonzero(vals == t)
     take[ties[:k - int(np.count_nonzero(take))]] = True
-    return candidates[take]
+    return take
 
 
 def lmo(spec: ConstraintSpec, grad) -> np.ndarray:
@@ -160,16 +159,29 @@ def lmo(spec: ConstraintSpec, grad) -> np.ndarray:
     Per group, takes the top-k_i gradient entries; the remaining k - sum(k_i)
     slots go to the best not-yet-selected entries overall. The result is a
     0/1 indicator, hence an extreme point of the polytope.
+
+    Every selection takes a prefix of one order, gradient desc and id asc,
+    of its candidates. So the global top-k T is tried first. If T holds at
+    least k_i members of each group C_i, then T ∩ C_i, a prefix of C_i,
+    contains C_i's top-k_i; the k - sum(k_i) members of T outside those
+    sets are a prefix of the rest, so they are the top-up. The answer is
+    then T itself, from one partition of n entries. Otherwise the groups
+    are selected one by one.
     """
     grad = np.asarray(grad, dtype=np.float64)
-    selected = np.zeros(spec.n, dtype=bool)
-    for ki, members in zip(spec.mins, spec.attr.groups):
+    attr = spec.attr
+    selected = _top_k(grad, spec.k)
+    if np.all(np.bincount(attr.labels[selected], minlength=attr.r)
+              >= spec.mins):
+        return selected.astype(np.float64)
+    selected[:] = False
+    for ki, members in zip(spec.mins, attr.groups):
         if ki:
-            selected[_top_k(grad, members, ki)] = True
+            selected[members[_top_k(grad[members], ki)]] = True
     rest = spec.k - spec.min_total
     if rest:
         pool = np.flatnonzero(~selected)
-        selected[_top_k(grad, pool, rest)] = True
+        selected[pool[_top_k(grad[pool], rest)]] = True
     return selected.astype(np.float64)
 
 
@@ -198,7 +210,7 @@ def round_to_integral(graph: WeightedGraph, spec: ConstraintSpec, lam, x,
     x[x < FRACTIONAL_TOL] = 0.0
     x[x > 1.0 - FRACTIONAL_TOL] = 1.0
     adj = graph.adj
-    s = adj @ x
+    s = _support_product(adj, x)
     transfers = 0
 
     def settle(frac):

@@ -8,7 +8,10 @@ L bounds the spectral norm of A + lam*I.
 A x is computed once. Each LMO answer s is a 0/1 vertex with k ones, so
 A s is the sum of k CSR rows and a step updates A x <- (1-gamma) A x +
 gamma A s: an iteration costs O(n + k * mean degree), with no full
-matrix-vector product. Rounding recomputes A x exactly.
+matrix-vector product, and A s is reused while the LMO repeats its answer.
+Every product of A with a point of small support (a 0/1 start, A s, the
+rounding's A x of the final iterate) sums that support's rows and equals
+the full product bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .constraints import (
     round_to_integral,
     validate,
 )
-from .graph import WeightedGraph
+from .graph import WeightedGraph, _support_product
 
 # Safety factor applied to the power-method estimate so the step rule's
 # ascent guarantee survives eigenvalue underestimation.
@@ -102,7 +105,8 @@ def solve_fw(graph: WeightedGraph, spec: ConstraintSpec, cfg: FwConfig = None,
     L = lipschitz_estimate(graph, lam)
     x = np.asarray(x0, dtype=np.float64).copy()
     adj = graph.adj
-    ax = adj @ x
+    ax = _support_product(adj, x)
+    s_prev = a_s = None
     trace = FwTrace()
     for _ in range(cfg.max_iters):
         grad = ax + lam * x
@@ -121,17 +125,11 @@ def solve_fw(graph: WeightedGraph, spec: ConstraintSpec, cfg: FwConfig = None,
             trace.converged = True
             break
         x += gamma * d
-        # s is a 0/1 vertex and A is symmetric, so A s is the sum of the
-        # CSR rows of s's k ones: A x moves to (1 - gamma) A x + gamma A s.
-        # ``pos`` lists those rows' entries in adj.indices and adj.data.
-        ones = np.flatnonzero(s)
-        starts = adj.indptr[ones]
-        lengths = adj.indptr[ones + 1] - starts
-        pos = (np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-               + np.arange(lengths.sum()))
+        # A x moves to (1 - gamma) A x + gamma A s, with A s from s's k rows.
+        if s_prev is None or not np.array_equal(s, s_prev):
+            s_prev, a_s = s, _support_product(adj, s)
         ax *= 1.0 - gamma
-        ax += gamma * np.bincount(adj.indices[pos], weights=adj.data[pos],
-                                  minlength=graph.n)
+        ax += gamma * a_s
 
     rounded = round_to_integral(graph, spec, max(lam, graph.w_max), x)
     trace.wall_seconds = time.perf_counter() - start

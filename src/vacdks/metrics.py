@@ -68,15 +68,20 @@ class BoundReport:
     __hash__ = None
 
 
-def normalized_edge_weight(graph: WeightedGraph, s) -> float:
-    """Induced weight divided by w_max * C(k, 2); density for unit weights."""
+def normalized_edge_weight(graph: WeightedGraph, s, weight=None) -> float:
+    """Induced weight divided by w_max * C(k, 2); density for unit weights.
+
+    ``weight``, when given, is the induced weight of ``s``, not recomputed.
+    """
     s = _vertex_ids(s, graph.n)
     k = len(s)
     if k < 2:
         raise ValueError("normalized edge weight needs at least 2 vertices")
     if graph.w_max == 0.0:
         return 0.0
-    return induced_weight(graph, s) / (graph.w_max * k * (k - 1) / 2.0)
+    if weight is None:
+        weight = induced_weight(graph, s)
+    return weight / (graph.w_max * k * (k - 1) / 2.0)
 
 
 def group_proportions(attr: AttributeAssignment, s) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from vacdks import AttributeAssignment, ConstraintSpec, WeightedGraph, lmo
+from vacdks.graph import _SUPPORT_ROWS_SHARE
 
 
 def random_graph(rng, n, weighted=True, p=0.5, min_edges=0):
@@ -112,6 +113,31 @@ def random_fractional(rng, spec, n_vertices=5):
     verts = [lmo(spec, rng.standard_normal(spec.n)) for _ in range(n_vertices)]
     weights = rng.dirichlet(np.ones(n_vertices))
     return np.sum([w * v for w, v in zip(weights, verts)], axis=0)
+
+
+def _top_k_argsort(values, candidates, k):
+    """Reference selection: stable descending argsort, ties to lower id."""
+    if k <= 0:
+        return candidates[:0]
+    order = np.argsort(-values[candidates], kind="stable")
+    return candidates[order[:k]]
+
+
+def lmo_reference(spec, grad):
+    """The LMO group by group, each selection by a stable argsort."""
+    selected = np.zeros(spec.n, dtype=bool)
+    for ki, members in zip(spec.mins, spec.attr.groups):
+        selected[_top_k_argsort(grad, members, ki)] = True
+    pool = np.flatnonzero(~selected)
+    selected[_top_k_argsort(grad, pool, spec.k - spec.min_total)] = True
+    return selected.astype(np.float64)
+
+
+def support_is_narrow(adj, x):
+    """Whether ``_support_product`` sums x's rows rather than call scipy."""
+    rows = np.flatnonzero(x)
+    entries = int((adj.indptr[rows + 1] - adj.indptr[rows]).sum())
+    return entries * _SUPPORT_ROWS_SHARE <= adj.nnz
 
 
 def dense_g(graph, lam, x):

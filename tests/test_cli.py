@@ -18,6 +18,9 @@ from vacdks import (
     graph,
     induced_weight,
     is_feasible_binary,
+    load_edge_list,
+    metrics,
+    normalized_edge_weight,
 )
 from vacdks.cli import main
 
@@ -251,6 +254,26 @@ class TestSolve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "FileNotFoundError" in captured.err
+
+    @pytest.mark.parametrize("method", ["fw+peel", "lrbo"])
+    def test_record_computes_the_induced_weight_once(self, instance_dir,
+                                                     method, capsys,
+                                                     monkeypatch):
+        calls = []
+
+        def counted(graph, s):
+            calls.append(len(s))
+            return induced_weight(graph, s)
+
+        monkeypatch.setattr(cli, "induced_weight", counted)
+        monkeypatch.setattr(metrics, "induced_weight", counted)
+        assert main(solve_args(instance_dir, method)) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert calls == [9]
+        graph = load_edge_list(instance_dir / "edges.tsv")
+        assert record["objective"] == induced_weight(graph, record["vertices"])
+        assert record["normalized"] == normalized_edge_weight(
+            graph, record["vertices"])
 
     def test_record_keys_in_order(self, instance_dir, capsys):
         assert main(solve_args(instance_dir, "peel")) == 0

@@ -1,6 +1,8 @@
+import collections
 import contextlib
 import math
 import signal
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,12 +22,14 @@ from vacdks import (
     round_to_integral,
     validate,
 )
+from vacdks import constraints
 from vacdks.constraints import FRACTIONAL_TOL, SUM_TOL
 from vacdks.fw import objective_g
 
 from conftest import (
     dense_g,
     enumerate_feasible,
+    lmo_reference,
     random_fractional,
     random_graph,
     random_spec,
@@ -222,35 +226,41 @@ class TestLmo:
         assert v.sum() == spec.k
 
 
-def _top_k_argsort(values, candidates, k):
-    """Reference selection: stable descending argsort, ties to lower id."""
-    if k <= 0:
-        return candidates[:0]
-    order = np.argsort(-values[candidates], kind="stable")
-    return candidates[order[:k]]
-
-
-def lmo_reference(spec, grad):
-    selected = np.zeros(spec.n, dtype=bool)
-    for ki, members in zip(spec.mins, spec.attr.groups):
-        selected[_top_k_argsort(grad, members, ki)] = True
-    pool = np.flatnonzero(~selected)
-    selected[_top_k_argsort(grad, pool, spec.k - spec.min_total)] = True
-    return selected.astype(np.float64)
-
-
 class TestLmoAgainstArgsort:
-    @settings(max_examples=400, deadline=None)
-    @given(lmo_instances())
-    # -0.0 and 0.0 tie: the lower id wins whichever sign it carries
-    @example((make_spec([0, 0, 0], 1, [0]), np.array([-0.0, 0.0, -1.0])))
-    @example((make_spec([0, 0, 0], 1, [0]), np.array([0.0, -0.0, -1.0])))
-    # ties straddle the cut, inside a group and in the top-up
-    @example((make_spec([0, 1, 0, 1, 0, 1], 4, [1, 1]),
-              np.array([1.0, 1.0, 1.0, 1.0, 1.0, 2.0])))
-    def test_bit_exact(self, instance):
-        spec, grad = instance
-        np.testing.assert_array_equal(lmo(spec, grad), lmo_reference(spec, grad))
+    def test_bit_exact(self):
+        # lmo answers from the global top-k when it meets every minimum and
+        # selects group by group otherwise; both must run over the draws.
+        branches = collections.Counter()
+
+        @settings(max_examples=400, deadline=None)
+        @given(lmo_instances())
+        # -0.0 and 0.0 tie: the lower id wins whichever sign it carries
+        @example((make_spec([0, 0, 0], 1, [0]), np.array([-0.0, 0.0, -1.0])))
+        @example((make_spec([0, 0, 0], 1, [0]), np.array([0.0, -0.0, -1.0])))
+        # ties straddle the cut, inside a group and in the top-up
+        @example((make_spec([0, 1, 0, 1, 0, 1], 4, [1, 1]),
+                  np.array([1.0, 1.0, 1.0, 1.0, 1.0, 2.0])))
+        # the global top-k misses a group minimum by one vertex
+        @example((make_spec([0, 0, 0, 1, 1, 1], 3, [1, 1]),
+                  np.array([5.0, 4.0, 3.0, 1.0, 0.0, -1.0])))
+        @example((make_spec([0, 0, 0, 1, 1, 1], 4, [2, 2]),
+                  np.array([5.0, 4.0, 3.0, 2.0, 1.0, 0.0])))
+        # ties straddle the cut across groups: the lower ids meet the
+        # minimums in the first, and miss group 0's in the second
+        @example((make_spec([1, 0, 1, 0, 1, 0], 3, [1, 1]),
+                  np.array([2.0, 1.0, 1.0, 1.0, 1.0, 0.0])))
+        @example((make_spec([1, 1, 0, 0], 2, [1, 1]),
+                  np.array([1.0, 1.0, 1.0, 1.0])))
+        def check(instance):
+            spec, grad = instance
+            with mock.patch.object(constraints, "_top_k",
+                                   wraps=constraints._top_k) as spy:
+                v = lmo(spec, grad)
+            branches["global" if spy.call_count == 1 else "groups"] += 1
+            np.testing.assert_array_equal(v, lmo_reference(spec, grad))
+
+        check()
+        assert branches["global"] and branches["groups"], branches
 
 
 # The rounding as it was before transfers kept a shrinking fractional set:

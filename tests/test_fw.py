@@ -2,10 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from vacdks import (
     ConstraintError,
+    ConstraintSpec,
     FwConfig,
     WeightedGraph,
     PlantedCliqueConfig,
@@ -14,13 +17,17 @@ from vacdks import (
     induced_weight,
     is_feasible_binary,
     lipschitz_estimate,
+    lmo,
     objective_g,
+    round_to_integral,
     solve_fw,
 )
-from vacdks.constraints import init_uniform
+from vacdks.constraints import FRACTIONAL_TOL, init_uniform
+from vacdks.fw import FwTrace
 
-from conftest import (dense_g, random_fractional, random_graph, random_spec,
-                      two_triangles)
+from conftest import (dense_g, lmo_reference, make_instance,
+                      random_fractional, random_graph, random_spec,
+                      small_instances, support_is_narrow, two_triangles)
 
 
 class TestConfig:
@@ -209,7 +216,12 @@ class TestMaintainedGradient:
                 exact, rel=1e-12 * trace.iterations)
         assert converged >= 6
 
-    def test_two_full_products_per_solve(self, rng):
+    def test_full_products_per_start(self, rng):
+        # Products go to scipy only for supports whose rows hold more than
+        # a share of the CSR entries: a uniform start's, and the final
+        # iterate's when it is that wide (as after a single short step). A
+        # 0/1 start and every LMO vertex (k = 6 rows of 400) are summed
+        # from their rows.
         class CountingCsr(sparse.csr_matrix):
             matmuls = 0
 
@@ -217,15 +229,24 @@ class TestMaintainedGradient:
                 CountingCsr.matmuls += 1
                 return super().__matmul__(other)
 
-        base = random_graph(rng, 60, p=0.3, min_edges=1)
-        g = WeightedGraph(adj=CountingCsr(base.adj), w_max=base.w_max)
-        spec = random_spec(rng, 60, k_min=5)
-        g.eigenpair
-        CountingCsr.matmuls = 0
-        _, _, trace = solve_fw(g, spec)
-        assert trace.converged and trace.iterations > 2
-        # one product for the start point, one inside rounding
-        assert CountingCsr.matmuls == 2
+        final_wide = set()
+        for _ in range(3):
+            base = random_graph(rng, 400, p=0.1, min_edges=1)
+            g = WeightedGraph(adj=CountingCsr(base.adj), w_max=base.w_max)
+            spec = random_spec(rng, 400, k_min=6, k_max=6)
+            g.eigenpair
+            for x0 in (None, lmo(spec, rng.normal(size=400))):
+                for cfg in (FwConfig(), FwConfig(max_iters=1)):
+                    CountingCsr.matmuls = 0
+                    x, _, _ = solve_fw(g, spec, cfg, x0=x0)
+                    # the support rounding keeps after its snap to 0
+                    wide = not support_is_narrow(g.adj, x >= FRACTIONAL_TOL)
+                    if x0 is None:
+                        final_wide.add(wide)
+                        assert CountingCsr.matmuls == 1 + wide
+                    else:
+                        assert not wide and CountingCsr.matmuls == 0
+        assert final_wide == {True, False}
 
 
 def _indicator(sel, n):
@@ -239,3 +260,110 @@ def test_edgeless_graph_solve(rng):
     spec = random_spec(rng, 6, k_min=2)
     _, sel, _ = solve_fw(g, spec)
     assert len(sel) == spec.k
+
+
+def solve_fw_reference(graph, spec, cfg=None, x0=None):
+    """``solve_fw``'s loop before its fast paths: a full product for the
+    start, A s rebuilt from s's rows at every step, and the LMO by stable
+    argsort. The rounding is ``round_to_integral``, which
+    TestRoundingAgainstReference holds to a rounding from a full product."""
+    cfg = cfg or FwConfig()
+    lam = cfg.lam if cfg.lam is not None else graph.w_max
+    if x0 is None:
+        x0 = init_uniform(spec)
+    L = lipschitz_estimate(graph, lam)
+    x = np.asarray(x0, dtype=np.float64).copy()
+    adj = graph.adj
+    ax = adj @ x
+    trace = FwTrace()
+    for _ in range(cfg.max_iters):
+        grad = ax + lam * x
+        obj = float(x @ grad)
+        s = lmo_reference(spec, grad)
+        d = s - x
+        gap = max(float(grad @ d), 0.0)
+        dn2 = float(d @ d)
+        done = gap <= cfg.gap_tol * max(1.0, obj) or dn2 == 0.0
+        gamma = 0.0 if done else min(1.0, gap / (L * dn2))
+        trace.iterations += 1
+        trace.objective.append(obj)
+        trace.gap.append(gap)
+        trace.step_size.append(gamma)
+        if done:
+            trace.converged = True
+            break
+        x += gamma * d
+        ones = np.flatnonzero(s)
+        starts = adj.indptr[ones]
+        lengths = adj.indptr[ones + 1] - starts
+        pos = (np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+               + np.arange(lengths.sum()))
+        ax *= 1.0 - gamma
+        ax += gamma * np.bincount(adj.indices[pos], weights=adj.data[pos],
+                                  minlength=graph.n)
+    rounded = round_to_integral(graph, spec, max(lam, graph.w_max), x)
+    return x, np.flatnonzero(rounded > 0.5), trace
+
+
+def assert_same_solve(graph, spec, x0=None, cfg=None):
+    x, sel, trace = solve_fw(graph, spec, cfg, x0=x0)
+    x_ref, sel_ref, ref = solve_fw_reference(graph, spec, cfg, x0=x0)
+    assert x.tobytes() == x_ref.tobytes()
+    assert sel.dtype == sel_ref.dtype and sel.tobytes() == sel_ref.tobytes()
+    assert (trace.iterations, trace.converged) == (ref.iterations,
+                                                   ref.converged)
+    for name in ("objective", "gap", "step_size"):
+        assert (np.array(getattr(trace, name)).tobytes()
+                == np.array(getattr(ref, name)).tobytes()), name
+
+
+@st.composite
+def fw_instances(draw):
+    """A small instance, a start (uniform, a 0/1 LMO vertex or a convex
+    combination of such vertices) and a solver config."""
+    graph, spec = draw(small_instances())
+    direction = st.lists(st.integers(min_value=-2, max_value=2).map(float),
+                         min_size=spec.n, max_size=spec.n)
+    start = draw(st.sampled_from(["uniform", "binary", "fractional"]))
+    x0 = None
+    if start != "uniform":
+        atoms = [lmo_reference(spec, np.array(d)) for d in draw(
+            st.lists(direction, min_size=1,
+                     max_size=1 if start == "binary" else 4))]
+        weights = draw(st.lists(st.integers(min_value=1, max_value=100),
+                                min_size=len(atoms), max_size=len(atoms)))
+        x0 = sum(w * a for w, a in zip(weights, atoms)) / sum(weights)
+    cfg = FwConfig(lam=draw(st.sampled_from([None, 0.0, 2.5])),
+                   max_iters=draw(st.sampled_from([1, 4, 500])))
+    return graph, spec, x0, cfg
+
+
+class TestAgainstFrozenLoop:
+    """solve_fw's exact shortcuts (the global top-k LMO, one A s per
+    distinct LMO answer, products from a support's rows) leave every
+    output byte as the loop without them gives it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(fw_instances())
+    # an edgeless graph from a 0/1 start: no rows hold an entry
+    @example((*make_instance(4, [], None, [0, 0, 1, 1], 2, [1, 1]),
+              np.array([1.0, 0.0, 1.0, 0.0]), FwConfig()))
+    # a triangle plus two isolated vertices, uniform start
+    @example((*make_instance(5, [(0, 1), (1, 2), (0, 2)], None,
+                             [0, 0, 0, 1, 1], 3, [2, 1]), None, FwConfig()))
+    def test_property(self, instance):
+        graph, spec, x0, cfg = instance
+        assert_same_solve(graph, spec, x0, cfg)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_seeded(self, rng, weighted):
+        for seed in range(3):
+            cfg = PlantedCliqueConfig(n=int(rng.integers(300, 1200)),
+                                      p=float(rng.choice([0.02, 0.1])),
+                                      k=12, r=3, weighted=weighted, seed=seed)
+            g, attr, _ = generate_planted_clique(cfg)
+            spec = ConstraintSpec(k=12, mins=(3, 3, 3), attr=attr)
+            binary = lmo(spec, rng.normal(size=g.n))
+            for x0 in (None, binary, random_fractional(rng, spec),
+                       0.5 * binary + 0.5 * init_uniform(spec)):
+                assert_same_solve(g, spec, x0)

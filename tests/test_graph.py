@@ -25,10 +25,11 @@ from vacdks import (
     save_edge_list,
 )
 from vacdks import graph as graph_module
-from vacdks.graph import (_PAIRWISE_LIMIT, _background_pair_indices,
-                          _pairs_from_indices, _sample_pair_indices)
+from vacdks.graph import (_PAIRWISE_LIMIT, _background_pair_indices, _pairs_from_indices, _sample_pair_indices,
+                          _support_product)
 
-from conftest import graphs_equal, small_instances
+from conftest import (graphs_equal, random_graph, small_instances,
+                      support_is_narrow)
 
 
 def write(tmp_path, text, name="g.tsv"):
@@ -666,3 +667,62 @@ def test_generator_matches_reference(cfg):
     masking and appending the clique built, byte for byte."""
     assert (generated_outcome(generate_planted_clique, cfg)
             == generated_outcome(generate_planted_clique_reference, cfg))
+
+
+def assert_support_product_exact(adj, x):
+    got, want = _support_product(adj, x), adj @ x
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+class TestSupportProduct:
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_full_product_bytes(self, rng, weighted):
+        g = random_graph(rng, 300, weighted=weighted, p=0.05)
+        narrow = set()
+        for size in (0, 1, 2, 5, 20, 100, 300):
+            for values in ("ones", "fractions"):
+                x = np.zeros(300)
+                ids = rng.choice(300, size, replace=False)
+                x[ids] = 1.0 if values == "ones" else rng.uniform(size=size)
+                narrow.add(support_is_narrow(g.adj, x))
+                assert_support_product_exact(g.adj, x)
+        assert narrow == {True, False}
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_instances(), st.data())
+    def test_matches_full_product_property(self, instance, data):
+        # Entries within the box tolerance below 0 and signed zeros too.
+        graph, _ = instance
+        entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1e-10, 1e-300]),
+                          st.floats(min_value=0.0, max_value=1.0))
+        x = np.array(data.draw(st.lists(entry, min_size=graph.n,
+                                        max_size=graph.n)))
+        assert_support_product_exact(graph.adj, x)
+
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_edgeless_graph_gives_float_zeros(self, n):
+        # np.bincount of an empty selection is int64.
+        g = WeightedGraph.from_edges(n, [], [])
+        x = np.zeros(n)
+        x[0] = 1.0
+        assert support_is_narrow(g.adj, x)
+        assert_support_product_exact(g.adj, x)
+
+    def test_graphs_hold_sorted_rows(self, rng, tmp_path):
+        # The row sums rest on each row's indices being sorted; edges
+        # arrive shuffled and in either orientation.
+        iu, iv = np.triu_indices(60, k=1)
+        keep = rng.permutation(np.flatnonzero(rng.random(len(iu)) < 0.2))
+        flip = rng.random(len(keep)) < 0.5
+        built = WeightedGraph.from_edges(60, np.where(flip, iv[keep], iu[keep]),
+                                         np.where(flip, iu[keep], iv[keep]))
+        generated, _, _ = generate_planted_clique(
+            PlantedCliqueConfig(n=2001, p=0.05, k=12, r=3, seed=0))
+        save_edge_list(generated, tmp_path / "g.tsv")
+        loaded = load_edge_list(tmp_path / "g.tsv")
+        for g in (built, generated, loaded):
+            adj = g.adj.copy()
+            adj.has_sorted_indices = False  # forget any cached answer
+            adj.sort_indices()
+            assert adj.indices.tobytes() == g.adj.indices.tobytes()
