@@ -165,23 +165,37 @@ def lmo(spec: ConstraintSpec, grad) -> np.ndarray:
     least k_i members of each group C_i, then T ∩ C_i, a prefix of C_i,
     contains C_i's top-k_i; the k - sum(k_i) members of T outside those
     sets are a prefix of the rest, so they are the top-up. The answer is
-    then T itself, from one partition of n entries. Otherwise the groups
-    are selected one by one.
+    then T itself, from one partition of n entries.
+
+    Otherwise only the groups T leaves short, D, are selected on their own:
+    each holds all of T ∩ C_i and d_i more. Every other group's top-k_i is
+    its first k_i members of T. The rest of T, its surplus, numbers
+    k - sum(k_i) + sum(d_i), and precedes every other unselected entry; so
+    the top-up is its first k - sum(k_i) in T's order, and the answer is T
+    without the last sum(d_i) of its surplus, plus the top-k_i of each C_i
+    in D.
     """
     grad = np.asarray(grad, dtype=np.float64)
     attr = spec.attr
+    mins = np.asarray(spec.mins)
     selected = _top_k(grad, spec.k)
-    if np.all(np.bincount(attr.labels[selected], minlength=attr.r)
-              >= spec.mins):
+    short = np.bincount(attr.labels[selected], minlength=attr.r) < mins
+    if not short.any():
         return selected.astype(np.float64)
-    selected[:] = False
-    for ki, members in zip(spec.mins, attr.groups):
-        if ki:
-            selected[members[_top_k(grad[members], ki)]] = True
-    rest = spec.k - spec.min_total
-    if rest:
-        pool = np.flatnonzero(~selected)
-        selected[pool[_top_k(grad[pool], rest)]] = True
+    top = np.flatnonzero(selected)
+    top = top[np.argsort(-grad[top], kind="stable")]  # T in its order
+    labels = attr.labels[top]
+    # The 1-based rank of each member of T among its group's members of T.
+    by_group = np.argsort(labels, kind="stable")
+    sorted_labels = labels[by_group]
+    rank = np.empty(len(top), dtype=np.int64)
+    rank[by_group] = (np.arange(1, len(top) + 1)
+                      - np.searchsorted(sorted_labels, sorted_labels))
+    surplus = top[rank > mins[labels]]
+    selected[surplus[spec.k - spec.min_total:]] = False
+    for i in np.flatnonzero(short):
+        members = attr.groups[i]
+        selected[members[_top_k(grad[members], mins[i])]] = True
     return selected.astype(np.float64)
 
 

@@ -55,8 +55,10 @@ class WeightedGraph:
         Rejects self-loops, duplicate edges (in either orientation), and
         non-positive or non-finite weights. ``w=None`` means unit weights.
         """
-        upper, w_max = _upper_triangle(n, u, v, w)
-        return cls(adj=_mirror(upper), w_max=w_max)
+        lo, hi, data, w_max = _checked_edges(n, u, v, w)
+        upper = _upper_triangle(n, lo, hi, data)
+        del lo, hi, data  # freed before the mirror allocates
+        return cls(adj=_mirror(upper, w_max), w_max=w_max)
 
     def edge_arrays(self):
         """(u, v, w) with u < v, sorted by (u, v), from the canonical CSR."""
@@ -66,11 +68,15 @@ class WeightedGraph:
         return rows[upper], cols[upper], self.adj.data[upper]
 
 
-def _upper_triangle(n, u, v, w):
-    """(U, w_max): the CSR upper triangle of the edges, after every check.
+def _checked_edges(n, u, v, w):
+    """(lo, hi, data, w_max): the edges after every check but the duplicate
+    one, as endpoints lo < hi and COO data.
 
     The first step of :meth:`WeightedGraph.from_edges`, apart so that a
-    caller can drop its edge arrays before :func:`_mirror` allocates.
+    caller can drop what ``u``, ``v`` and ``w`` view before the COO is built.
+    When every weight is the same (``w=None`` included), that weight is
+    ``w_max`` and ``data`` holds one True per edge: :func:`_mirror` writes
+    the weight once, into the finished CSR.
     """
     # Integer ids keep the width they arrive in: an int32 pair stream is
     # not copied to int64.
@@ -85,25 +91,45 @@ def _upper_triangle(n, u, v, w):
     if np.any(u == v):
         raise ValueError("self-loops are not allowed")
     if w is None:
-        w = np.ones(len(u))
+        w_max, constant = (1.0 if len(u) else 0.0), True
     elif not np.all((w > 0) & (w < np.inf)):
         raise ValueError("edge weights must be finite and strictly positive")
+    else:
+        w_max = float(w.max()) if len(w) else 0.0
+        constant = not len(w) or w.min() == w_max
     # The CSR keeps int32 indices below 2**31 vertices, so lo/hi are built
     # in that width rather than cast from int64 copies.
     idx = np.int32 if n <= np.iinfo(np.int32).max else np.int64
     lo = np.minimum(u, v, dtype=idx, casting="same_kind")
     hi = np.maximum(u, v, dtype=idx, casting="same_kind")
-    # tocsr sums repeated coordinates, so a duplicate edge (in either
-    # orientation) is a missing entry.
-    upper = sparse.coo_matrix((w, (lo, hi)), shape=(n, n)).tocsr()
-    if upper.nnz != len(w):
+    # A strided weight column (a field of parsed rows) is copied, so that
+    # the COO holds nothing of the caller's arrays.
+    data = (np.ones(len(lo), dtype=bool) if constant
+            else np.ascontiguousarray(w))
+    return lo, hi, data, w_max
+
+
+def _upper_triangle(n, lo, hi, data):
+    """The CSR upper triangle U of :func:`_checked_edges`'s edges."""
+    # tocsr merges repeated coordinates (a sum, or an or on bool data), so
+    # a duplicate edge (in either orientation) is a missing entry.
+    upper = sparse.coo_matrix((data, (lo, hi)), shape=(n, n)).tocsr()
+    if upper.nnz != len(data):
         raise ValueError("duplicate edges are not allowed")
-    return upper, (float(w.max()) if len(w) else 0.0)
+    return upper
 
 
-def _mirror(upper):
-    """The symmetric CSR adjacency U + Uᵀ of an upper triangle U."""
-    return (upper + upper.T).tocsr()
+def _mirror(upper, w_max):
+    """The symmetric float64 CSR adjacency U + Uᵀ of an upper triangle U.
+
+    On bool data, the one weight ``w_max`` fills the sum's entries: no entry
+    of U + Uᵀ is a sum of two, so this is the float sum bit for bit, with
+    its two 1-byte addends and result in place of 8-byte ones.
+    """
+    adj = (upper + upper.T).tocsr()
+    if adj.dtype == bool:
+        adj.data = np.full(adj.nnz, w_max)
+    return adj
 
 
 # A support whose rows hold at most 1/_SUPPORT_ROWS_SHARE of the CSR entries
@@ -302,10 +328,14 @@ def load_edge_list(path, unweighted_default=False, n=None) -> WeightedGraph:
 # The largest vertex count: n, and so every id + 1, must fit in an int64.
 _MAX_N = np.iinfo(np.int64).max
 
-_EDGE_ROW_DTYPES = {
-    2: np.dtype([("u", np.int64), ("v", np.int64)]),
-    3: np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)]),
-}
+
+def _edge_row_dtype(ncols, limit):
+    """The record of an edge line: "u v" or "u v w", with int32 ids when
+    every id below ``limit`` fits, else int64."""
+    ids = np.int32 if limit <= np.iinfo(np.int32).max else np.int64
+    fields = [("u", ids), ("v", ids), ("w", np.float64)]
+    return np.dtype(fields[:ncols])
+
 
 # Suffixes np.loadtxt decompresses when it opens a file name.
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
@@ -335,7 +365,7 @@ def _numpy_parse(path, lineno, ncols, unweighted_default, n_min, limit):
     Takes a regular file when every line from ``lineno`` on is an edge line
     with ``ncols`` columns, the column count of line ``lineno``; the graph
     has at least ``n_min`` vertices. numpy's C reader parses the rows and
-    ``from_edges``'s first step runs every check, ids below ``limit`` too.
+    ``from_edges``'s steps run every check, ids below ``limit`` too.
     Anything either rejects returns None, so that the line loop reports the
     first bad line with its number and the exact message. The parsed rows
     are freed before the upper triangle is built, and the edge arrays before
@@ -352,23 +382,24 @@ def _numpy_parse(path, lineno, ncols, unweighted_default, n_min, limit):
         # Given a file name (not a buffer), loadtxt reads in large chunks
         # through a universal-newline text layer, like the line loop. An
         # absolute name is never taken for a URL.
-        rows = np.loadtxt(os.path.abspath(name), dtype=_EDGE_ROW_DTYPES[ncols],
-                          comments=None, skiprows=lineno - 1,
-                          encoding="ascii", ndmin=1)
+        rows = np.loadtxt(os.path.abspath(name),
+                          dtype=_edge_row_dtype(ncols, limit), comments=None,
+                          skiprows=lineno - 1, encoding="ascii", ndmin=1)
     except (ValueError, OSError):
         return None
-    # Contiguous copies, so that the COO build copies no strided field
-    # while the record array is alive.
-    u, v = rows["u"].copy(), rows["v"].copy()
-    w = rows["w"].copy() if ncols == 3 else None
-    del rows
+    u, v = rows["u"], rows["v"]
     n_final = min(max(int(u.max()) + 1, int(v.max()) + 1, n_min), limit)
     try:
-        upper, w_max = _upper_triangle(n_final, u, v, w)
+        # The checks read the record fields in place; what they return
+        # holds nothing of the rows.
+        lo, hi, data, w_max = _checked_edges(
+            n_final, u, v, rows["w"] if ncols == 3 else None)
+        del rows, u, v
+        upper = _upper_triangle(n_final, lo, hi, data)
     except ValueError:
         return None
-    del u, v, w
-    return WeightedGraph(adj=_mirror(upper), w_max=w_max)
+    del lo, hi, data
+    return WeightedGraph(adj=_mirror(upper, w_max), w_max=w_max)
 
 
 # Lines per block of text the writers build.

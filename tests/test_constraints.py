@@ -27,6 +27,7 @@ from vacdks.constraints import FRACTIONAL_TOL, SUM_TOL
 from vacdks.fw import objective_g
 
 from conftest import (
+    _top_k_argsort,
     dense_g,
     enumerate_feasible,
     lmo_reference,
@@ -229,7 +230,8 @@ class TestLmo:
 class TestLmoAgainstArgsort:
     def test_bit_exact(self):
         # lmo answers from the global top-k when it meets every minimum and
-        # selects group by group otherwise; both must run over the draws.
+        # otherwise selects only the groups it leaves short, one partition
+        # each; both must run over the draws.
         branches = collections.Counter()
 
         @settings(max_examples=400, deadline=None)
@@ -251,12 +253,23 @@ class TestLmoAgainstArgsort:
                   np.array([2.0, 1.0, 1.0, 1.0, 1.0, 0.0])))
         @example((make_spec([1, 1, 0, 0], 2, [1, 1]),
                   np.array([1.0, 1.0, 1.0, 1.0])))
+        # two groups short, and the third's surplus in T is cut back to the
+        # top-up: its first k - sum(k_i) members of T stay, in T's order
+        @example((make_spec([0, 1, 2, 2, 0, 2, 1, 2, 2], 5, [1, 1, 1]),
+                  np.array([0.0, 0.5, 9.0, 8.0, 1.0, 7.0, -1.0, 6.0, 5.0])))
+        # a short group whose members tie with its T members at the cut
+        @example((make_spec([0, 1, 0, 1, 1, 0], 3, [2, 1]),
+                  np.array([3.0, 3.0, 1.0, 2.0, 2.0, 1.0])))
         def check(instance):
             spec, grad = instance
             with mock.patch.object(constraints, "_top_k",
                                    wraps=constraints._top_k) as spy:
                 v = lmo(spec, grad)
-            branches["global" if spy.call_count == 1 else "groups"] += 1
+            top = _top_k_argsort(grad, np.arange(spec.n), spec.k)
+            short = np.bincount(spec.attr.labels[top],
+                                minlength=spec.attr.r) < spec.mins
+            assert spy.call_count == 1 + np.count_nonzero(short)
+            branches["groups" if short.any() else "global"] += 1
             np.testing.assert_array_equal(v, lmo_reference(spec, grad))
 
         check()

@@ -276,6 +276,25 @@ def test_fast_path_takes_saved_files(tmp_path):
     assert_same_graph(fast, g)
 
 
+@pytest.mark.parametrize("weight", ["2.5", "1e-300", "1e+300", "1.0"])
+@pytest.mark.parametrize("n", [None, 302])
+def test_constant_weight_files_match_reference(tmp_path, weight, n):
+    """A file whose edges share one weight, the bool mirror's input, loads
+    as the line loop loads it; numpy takes it from its first edge on."""
+    cfg = PlantedCliqueConfig(n=300, p=0.05, k=6, r=3, seed=4)
+    u, v, _ = generate_planted_clique(cfg)[0].edge_arrays()
+    path = tmp_path / "edges.tsv"
+    path.write_text("# n 302\n" + "".join(
+        f"{a} {b} {weight}\n" for a, b in zip(u.tolist(), v.tolist())))
+    ref, fast = check_against_reference(path, False, n)
+    assert (fast is not None) == graph_module._FAST_PATH_AVAILABLE
+    assert ref[0] == "graph"
+    graph = ref[1]
+    assert graph.n == 302 and graph.w_max == float(weight)
+    assert graph.adj.data.dtype == np.float64
+    assert np.all(graph.adj.data == float(weight))
+
+
 def test_parsed_rows_freed_before_the_mirror(tmp_path, monkeypatch):
     """numpy's record array is gone before the mirror allocates the CSR."""
     cfg = PlantedCliqueConfig(n=300, p=0.05, k=6, r=3, weighted=True, seed=4)
@@ -290,9 +309,9 @@ def test_parsed_rows_freed_before_the_mirror(tmp_path, monkeypatch):
         parsed.append(weakref.ref(rows))
         return rows
 
-    def mirror(upper):
+    def mirror(upper, w_max):
         rows_alive.append([ref() is not None for ref in parsed])
-        return real_mirror(upper)
+        return real_mirror(upper, w_max)
 
     monkeypatch.setattr(graph_module.np, "loadtxt", loadtxt)
     monkeypatch.setattr(graph_module, "_mirror", mirror)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -526,6 +527,98 @@ def test_from_edges_matches_full_coo_reference(edges):
     for byte, and rejects the same duplicates with the same message."""
     assert (build_outcome(WeightedGraph.from_edges, *edges)
             == build_outcome(from_edges_reference, *edges))
+
+
+# Weights that every edge of a graph may share: one bool per edge is then
+# the upper triangle's data, and the weight is written into the mirror.
+CONSTANT_WEIGHTS = [1.0, 2.5, 1e-300, 1e300]
+
+
+@st.composite
+def weighting_inputs(draw):
+    """(n, u, v, w) of :func:`edge_inputs` with no weights, one constant
+    weight or its own weights, and sometimes a self-loop among the edges."""
+    n, u, v, w = draw(edge_inputs())
+    kind = draw(st.sampled_from(["none", "constant", "drawn"]))
+    if kind == "none":
+        w = None
+    elif kind == "constant":
+        w = [draw(st.sampled_from(CONSTANT_WEIGHTS))] * len(u)
+    if n and draw(st.integers(min_value=0, max_value=4)) == 0:
+        at = draw(st.integers(min_value=0, max_value=len(u)))
+        a = draw(st.integers(min_value=0, max_value=n - 1))
+        u, v = u[:at] + [a] + u[at:], v[:at] + [a] + v[at:]
+        if w is not None:
+            w = w[:at] + [w[0] if w else 1.0] + w[at:]
+    return n, u, v, w
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighting_inputs())
+@example((0, [], [], None))
+@example((3, [], [], []))
+@example((3, [], [], None))
+@example((5, [3, 0, 1], [0, 2, 3], [2.5, 2.5, 2.5]))
+@example((5, [3, 0, 1], [0, 2, 3], [1e-300, 1e-300, 1e-300]))
+@example((5, [3, 0, 1], [0, 2, 3], [1e300, 1e300, 1e300]))
+@example((5, [3, 0, 1], [0, 2, 3], [2.5, 2.5, 1.0]))
+@example((4, [0, 1, 2], [1, 2, 1], [2.5, 2.5, 2.5]))
+@example((4, [0, 1, 2], [1, 2, 1], None))
+@example((4, [0, 1, 2], [1, 2, 2], [2.5, 2.5, 2.5]))
+@example((4, [0, 1, 2], [1, 2, 2], None))
+def test_constant_weights_match_full_coo_reference(edges):
+    """Unit, constant and drawn weights store what the full COO build
+    stores, byte for byte; duplicates and self-loops fail with the same
+    messages on every weighting."""
+    n, u, v, w = edges
+    got = build_outcome(WeightedGraph.from_edges, *edges)
+    if any(a == b for a, b in zip(u, v)):
+        assert got == "self-loops are not allowed"
+    else:
+        assert got == build_outcome(from_edges_reference, *edges)
+
+
+def csr_bytes(graph):
+    a = graph.adj
+    return a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+
+
+def traced_peak(call):
+    """(call(), the peak of the memory traced during the call above what was
+    traced when it began)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestBuildMemory:
+    """No stage of a unit-weight build holds much more than the CSR it
+    returns: 24 bytes per stored entry (float64 data, int32 indices)."""
+
+    CFG = PlantedCliqueConfig(n=3000, p=0.1, k=30, r=3, seed=1)
+
+    def test_generator_peak(self):
+        graph, peak = traced_peak(
+            lambda: generate_planted_clique(self.CFG)[0])
+        assert peak <= 1.8 * csr_bytes(graph)
+
+    @pytest.mark.skipif(not graph_module._FAST_PATH_AVAILABLE,
+                        reason="this numpy reads edge lists by the line loop")
+    @pytest.mark.parametrize("given_n", [True, False])
+    def test_load_edge_list_peak(self, tmp_path, given_n):
+        path = tmp_path / "edges.tsv"
+        save_edge_list(generate_planted_clique(self.CFG)[0], path)
+        n = self.CFG.n if given_n else None
+        graph, peak = traced_peak(lambda: load_edge_list(path, n=n))
+        assert peak <= 1.5 * csr_bytes(graph)
 
 
 def edge_arrays_reference(g):
