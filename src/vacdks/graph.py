@@ -55,28 +55,35 @@ class WeightedGraph:
         Rejects self-loops, duplicate edges (in either orientation), and
         non-positive or non-finite weights. ``w=None`` means unit weights.
         """
-        lo, hi, data, w_max = _checked_edges(n, u, v, w)
-        upper = _upper_triangle(n, lo, hi, data)
-        del lo, hi, data  # freed before the mirror allocates
-        return cls(adj=_mirror(upper, w_max), w_max=w_max)
+        edges, w_max = _checked_edges(n, u, v, w)
+        return cls(adj=_symmetric_csr(n, edges, w_max), w_max=w_max)
 
     def edge_arrays(self):
         """(u, v, w) with u < v, sorted by (u, v), from the canonical CSR."""
-        indptr, cols = self.adj.indptr, self.adj.indices
-        rows = np.repeat(np.arange(self.n, dtype=cols.dtype), np.diff(indptr))
-        upper = cols > rows
-        return rows[upper], cols[upper], self.adj.data[upper]
+        return _upper_entries(self.adj, 0, self.n)
+
+
+def _upper_entries(adj, start, stop):
+    """(u, v, w) of the entries of CSR rows [start, stop) above the
+    diagonal, in row order."""
+    indptr, a, b = adj.indptr, adj.indptr[start], adj.indptr[stop]
+    cols = adj.indices[a:b]
+    rows = np.repeat(np.arange(start, stop, dtype=cols.dtype),
+                     np.diff(indptr[start:stop + 1]))
+    upper = cols > rows
+    return rows[upper], cols[upper], adj.data[a:b][upper]
 
 
 def _checked_edges(n, u, v, w):
-    """(lo, hi, data, w_max): the edges after every check but the duplicate
-    one, as endpoints lo < hi and COO data.
+    """([lo, hi, data], w_max): the edges after every check but the
+    duplicate one, as endpoints lo < hi and COO data, in a list that
+    :func:`_symmetric_csr` empties.
 
     The first step of :meth:`WeightedGraph.from_edges`, apart so that a
     caller can drop what ``u``, ``v`` and ``w`` view before the COO is built.
     When every weight is the same (``w=None`` included), that weight is
-    ``w_max`` and ``data`` holds one True per edge: :func:`_mirror` writes
-    the weight once, into the finished CSR.
+    ``w_max`` and ``data`` holds one True per edge: :func:`_symmetric_csr`
+    writes the weight once, into the finished CSR.
     """
     # Integer ids keep the width they arrive in: an int32 pair stream is
     # not copied to int64.
@@ -106,7 +113,7 @@ def _checked_edges(n, u, v, w):
     # the COO holds nothing of the caller's arrays.
     data = (np.ones(len(lo), dtype=bool) if constant
             else np.ascontiguousarray(w))
-    return lo, hi, data, w_max
+    return [lo, hi, data], w_max
 
 
 def _upper_triangle(n, lo, hi, data):
@@ -119,17 +126,27 @@ def _upper_triangle(n, lo, hi, data):
     return upper
 
 
-def _mirror(upper, w_max):
-    """The symmetric float64 CSR adjacency U + Uᵀ of an upper triangle U.
+def _symmetric_csr(n, edges, w_max):
+    """The symmetric float64 CSR adjacency U + Uᵀ, with U the upper
+    triangle of the edges [lo, hi, data] from :func:`_checked_edges`.
 
-    On bool data, the one weight ``w_max`` fills the sum's entries: no entry
-    of U + Uᵀ is a sum of two, so this is the float sum bit for bit, with
-    its two 1-byte addends and result in place of 8-byte ones.
+    A caller's frame holds its call's arguments to the end of the call, so
+    the edge arrays come in a list, emptied once U is built: they, then U,
+    then the bool sum are each freed once the next step has what it needs.
+    On bool data, the one weight ``w_max`` fills the sum's entries: no
+    entry of U + Uᵀ is a sum of two, so this is the float sum bit for bit,
+    built on 1-byte addends and result in place of 8-byte ones.
     """
+    upper = _upper_triangle(n, *edges)
+    edges.clear()
     adj = (upper + upper.T).tocsr()
-    if adj.dtype == bool:
-        adj.data = np.full(adj.nnz, w_max)
-    return adj
+    del upper
+    if adj.dtype != bool:
+        return adj
+    indices, indptr = adj.indices, adj.indptr
+    del adj
+    return sparse.csr_matrix((np.full(len(indices), w_max), indices, indptr),
+                             shape=(n, n))
 
 
 # A support whose rows hold at most 1/_SUPPORT_ROWS_SHARE of the CSR entries
@@ -228,20 +245,22 @@ def load_edge_list(path, unweighted_default=False, n=None) -> WeightedGraph:
 
     Each non-comment line is "u v" or "u v w". Missing weights are an error
     unless ``unweighted_default`` is set, in which case they default to 1.
-    Weights must be positive and finite. A comment of the form "# n <count>"
-    (written by :func:`save_edge_list`) declares the vertex count so isolated
-    trailing vertices survive a round trip; a given ``n`` is the vertex
-    count, so ids stay below it. Comments take a whole line: "#" inside an
-    edge line is an error. Malformed input raises :class:`GraphFormatError`
-    naming the first bad line, or only the file when it is not UTF-8 text.
+    Weights must be positive and finite. A given ``n`` is the vertex count,
+    so ids stay below it. Without one, a comment of the form "# n <count>"
+    (written by :func:`save_edge_list`) is the vertex count, so isolated
+    trailing vertices survive a round trip; with one, the count may not
+    exceed ``n``. Every "# n" line of a file gives the same count. Comments
+    take a whole line: "#" inside an edge line is an error. Malformed input
+    raises :class:`GraphFormatError` naming the first bad line, or only the
+    file when it is not UTF-8 text.
 
     One loop reads the file line by line. At the first edge line it offers
     the rest of the file to :func:`_numpy_parse`; where that declines, the
     loop reads on from the same line.
     """
     us, vs, ws = [], [], []
-    declared_n = 0
-    limit = n if n is not None else _MAX_N
+    count = n  # the vertex count: n, else the file's "# n" count, if any
+    first = None  # (count, line) of the first "# n" line
     seen = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -253,25 +272,41 @@ def load_edge_list(path, unweighted_default=False, n=None) -> WeightedGraph:
                     header = line[1:].split()
                     if len(header) == 2 and header[0] == "n":
                         try:
-                            declared_n = int(header[1])
-                            if declared_n < 0:
-                                raise ValueError(declared_n)
+                            declared = int(header[1])
+                            if declared < 0:
+                                raise ValueError(declared)
                         except ValueError as exc:
                             raise GraphFormatError(
                                 f"{path}:{lineno}: bad vertex count "
                                 f"{header[1]!r}") from exc
-                        if declared_n > limit:
+                        bound = _MAX_N if n is None else n
+                        if declared > bound:
                             raise GraphFormatError(
                                 f"{path}:{lineno}: vertex count "
-                                f"{declared_n} too large for n={limit}")
+                                f"{declared} too large for n={bound}")
+                        if first is None:
+                            first = (declared, lineno)
+                        elif declared != first[0]:
+                            raise GraphFormatError(
+                                f"{path}:{lineno}: vertex count {declared} "
+                                f"differs from {first[0]} at line {first[1]}")
+                        if count is None:
+                            count = declared
+                            # The first id the count leaves out, if an edge
+                            # line above declared it.
+                            for (_, top), at in seen.items():
+                                if top >= count:
+                                    raise GraphFormatError(
+                                        f"{path}:{at}: vertex id {top} too "
+                                        f"large for n={count}")
                     continue
                 parts = line.split()
                 if not us:  # the first edge line
                     graph = _numpy_parse(path, lineno, len(parts),
-                                         unweighted_default,
-                                         max(declared_n, n or 0), limit)
+                                         unweighted_default, count)
                     if graph is not None:
                         return graph
+                limit = _MAX_N if count is None else count
                 if len(parts) not in (2, 3):
                     raise GraphFormatError(
                         f"{path}:{lineno}: expected 'u v' or 'u v w', "
@@ -320,9 +355,9 @@ def load_edge_list(path, unweighted_default=False, n=None) -> WeightedGraph:
                 ws.append(w)
     except UnicodeDecodeError as exc:
         raise GraphFormatError(f"{path}: not UTF-8 text") from exc
-    inferred = max((max(us, default=-1), max(vs, default=-1))) + 1
-    n_final = max(inferred, declared_n, n or 0)
-    return WeightedGraph.from_edges(n_final, us, vs, ws)
+    if count is None:
+        count = max((max(us, default=-1), max(vs, default=-1))) + 1
+    return WeightedGraph.from_edges(count, us, vs, ws)
 
 
 # The largest vertex count: n, and so every id + 1, must fit in an int64.
@@ -359,17 +394,17 @@ def _loadtxt_rejects_float_ids():
 _FAST_PATH_AVAILABLE = _loadtxt_rejects_float_ids()
 
 
-def _numpy_parse(path, lineno, ncols, unweighted_default, n_min, limit):
+def _numpy_parse(path, lineno, ncols, unweighted_default, count):
     """The graph of the edge lines from ``lineno`` on, or None to decline.
 
     Takes a regular file when every line from ``lineno`` on is an edge line
     with ``ncols`` columns, the column count of line ``lineno``; the graph
-    has at least ``n_min`` vertices. numpy's C reader parses the rows and
-    ``from_edges``'s steps run every check, ids below ``limit`` too.
+    has ``count`` vertices, or one more than its largest id when ``count``
+    is None. numpy's C reader parses the rows and ``from_edges``'s steps run
+    every check, ids below the vertex count too.
     Anything either rejects returns None, so that the line loop reports the
     first bad line with its number and the exact message. The parsed rows
-    are freed before the upper triangle is built, and the edge arrays before
-    the mirror allocates the symmetric CSR.
+    are freed before the upper triangle is built.
     """
     name = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
     # The file is opened a second time, which a pipe does not survive, and
@@ -378,6 +413,7 @@ def _numpy_parse(path, lineno, ncols, unweighted_default, n_min, limit):
             or not os.path.isfile(name) or name.endswith(_COMPRESSED_SUFFIXES)
             or not (ncols == 3 or (ncols == 2 and unweighted_default))):
         return None
+    limit = _MAX_N if count is None else count
     try:
         # Given a file name (not a buffer), loadtxt reads in large chunks
         # through a universal-newline text layer, like the line loop. An
@@ -388,18 +424,18 @@ def _numpy_parse(path, lineno, ncols, unweighted_default, n_min, limit):
     except (ValueError, OSError):
         return None
     u, v = rows["u"], rows["v"]
-    n_final = min(max(int(u.max()) + 1, int(v.max()) + 1, n_min), limit)
+    n_final = (count if count is not None
+               else min(max(int(u.max()), int(v.max())) + 1, _MAX_N))
     try:
         # The checks read the record fields in place; what they return
         # holds nothing of the rows.
-        lo, hi, data, w_max = _checked_edges(
+        edges, w_max = _checked_edges(
             n_final, u, v, rows["w"] if ncols == 3 else None)
         del rows, u, v
-        upper = _upper_triangle(n_final, lo, hi, data)
+        return WeightedGraph(adj=_symmetric_csr(n_final, edges, w_max),
+                             w_max=w_max)
     except ValueError:
         return None
-    del lo, hi, data
-    return WeightedGraph(adj=_mirror(upper, w_max), w_max=w_max)
 
 
 # Lines per block of text the writers build.
@@ -451,20 +487,34 @@ def _write_lines(fh, fields):
     rows[-1] = ord("\n")
     # A mask on the strided view is 3x slower than a transposed copy and one.
     cells = np.ascontiguousarray(rows.T)
+    del rows
     fh.write(cells[cells != 0].tobytes().decode("ascii"))
 
 
 def save_edge_list(graph: WeightedGraph, path) -> None:
     """Write the edge list in the format accepted by :func:`load_edge_list`:
-    a "# n" header, then one "u v repr(w)" line per edge, u < v, sorted."""
-    u, v, w = graph.edge_arrays()
+    a "# n" header, then one "u v repr(w)" line per edge, u < v, sorted.
+
+    The edges are read off the CSR one block of rows at a time, each block
+    about ``2 * _WRITE_CHUNK`` stored entries (one row at least), so the
+    writer holds a block's edges and text, not the whole graph's.
+    """
+    indptr = graph.adj.indptr
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# n {graph.n}\n")
-        for lo in range(0, len(u), _WRITE_CHUNK):
-            part = slice(lo, lo + _WRITE_CHUNK)
-            _write_lines(fh, [_digit_cells(u[part], graph.n - 1),
-                              _digit_cells(v[part], graph.n - 1),
-                              _repr_cells(w[part])])
+        start = 0
+        while start < graph.n:
+            # The last row boundary within 2 * _WRITE_CHUNK entries.
+            end = int(indptr[start]) + 2 * _WRITE_CHUNK
+            stop = max(int(np.searchsorted(indptr, end, side="right")) - 1,
+                       start + 1)
+            u, v, w = _upper_entries(graph.adj, start, stop)
+            for lo in range(0, len(u), _WRITE_CHUNK):
+                part = slice(lo, lo + _WRITE_CHUNK)
+                _write_lines(fh, [_digit_cells(u[part], graph.n - 1),
+                                  _digit_cells(v[part], graph.n - 1),
+                                  _repr_cells(w[part])])
+            start = stop
 
 
 def read_text(path) -> str:

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from vacdks import GraphFormatError, PlantedCliqueConfig, WeightedGraph
 from vacdks import generate_planted_clique, load_edge_list, save_edge_list
@@ -34,10 +35,7 @@ WEIGHT_TEXT = st.one_of(
     st.integers(min_value=1, max_value=1000).map(str),
     st.sampled_from(["1", "1.0", ".5", "5.", "2.5e-3", "1E2", "+0.75"]),
 )
-COMMENTS = st.one_of(
-    st.sampled_from(["#", "# a comment", "#n 3", "# n", "# n 2 3", "#  x # y"]),
-    st.integers(min_value=0, max_value=40).map(lambda k: f"# n {k}"),
-)
+COMMENTS = st.sampled_from(["#", "# a comment", "# n", "# n 2 3", "#  x # y"])
 BLANKS = st.sampled_from(["", " ", "\t", "  \t "])
 
 
@@ -66,8 +64,11 @@ def edge_files(draw):
         sep = draw(SEPARATORS)
         lines.append(draw(PADDING) + sep.join(fields) + draw(PADDING))
     # Comments and blank lines: up front only (the shape numpy takes) or
-    # anywhere (numpy declines and the line loop reads on).
-    extras = draw(st.lists(st.one_of(COMMENTS, BLANKS), max_size=4))
+    # anywhere (numpy declines and the line loop reads on). Every "# n" line
+    # gives one count that holds the ids: the vertex count.
+    count = draw(st.integers(min_value=n, max_value=40))
+    headers = st.sampled_from([f"# n {count}", f"#n {count}"])
+    extras = draw(st.lists(st.one_of(COMMENTS, headers, BLANKS), max_size=4))
     leading_only = draw(st.booleans())
     for extra in extras:
         at = 0 if leading_only else draw(st.integers(0, len(lines)))
@@ -79,6 +80,13 @@ def edge_files(draw):
 def render(lines, eols, final_eol=True):
     text = "".join(line + eol for line, eol in zip(lines, eols))
     return text if final_eol else text.rstrip("\r\n")
+
+
+def header_counts(lines):
+    """The counts of the "# n" lines among ``lines``, in file order."""
+    heads = [ln.strip()[1:].split() for ln in lines
+             if ln.strip().startswith("#")]
+    return [int(h[1]) for h in heads if len(h) == 2 and h[0] == "n"]
 
 
 def outcome(load):
@@ -183,7 +191,8 @@ def test_bad_record_matches_reference(edge_path, spec, bad, data):
     eols = eols[:at] + [data.draw(EOLS)] + eols[at:]
     edge_path.write_bytes(render(lines, eols).encode())
     ref, _ = check_against_reference(edge_path, unweighted_default)
-    if bad == "0 13" and unweighted_default:
+    if (bad == "0 13" and unweighted_default
+            and all(c > 13 for c in header_counts(lines))):
         assert ref[0] == "graph"
     else:
         assert ref[0] == "error" and f"{edge_path}:" in ref[1]
@@ -202,12 +211,8 @@ def test_given_n_bounds_ids_and_counts(edge_path, spec, data):
     (``check_against_reference`` asserts that on every error)."""
     lines, eols, unweighted_default = spec
     edge_path.write_bytes(render(lines, eols).encode())
-    # Each "# n" count must fit, not only the last one, which the loader
-    # without n takes as a lower bound.
-    heads = [ln.strip()[1:].split() for ln in lines
-             if ln.strip().startswith("#")]
-    counts = [int(h[1]) for h in heads if len(h) == 2 and h[0] == "n"]
-    n = (max([load_reference(edge_path, unweighted_default).n] + counts)
+    # A "# n" count may lie below a given n, never above it.
+    n = (load_reference(edge_path, unweighted_default).n
          + data.draw(st.integers(0, 3)))
     ref, _ = check_against_reference(edge_path, unweighted_default, n)
     assert ref[0] == "graph" and ref[1].n == n
@@ -227,6 +232,54 @@ def test_given_n_bounds_ids_and_counts(edge_path, spec, data):
     ref, _ = check_against_reference(edge_path, unweighted_default, n)
     assert ref == ("error",
                    f"{edge_path}:{at + 1}: {what} too large for n={n}")
+
+
+@SETTINGS
+@given(spec=edge_files(), data=st.data())
+def test_header_count_bounds_ids_without_n(edge_path, spec, data):
+    """Without a given n, a lone "# n" line is the vertex count: an id at or
+    above it fails at its line in both readers, above or below the header,
+    and a second count that differs fails at the later of the two lines."""
+    lines, eols, unweighted_default = spec
+    kept = [i for i, ln in enumerate(lines) if not header_counts([ln])]
+    lines, eols = [lines[i] for i in kept], [eols[i] for i in kept]
+    edge_path.write_bytes(render(lines, eols).encode())
+    count = (load_reference(edge_path, unweighted_default).n
+             + data.draw(st.integers(0, 3)))
+    head = data.draw(st.integers(0, len(lines)))
+    lines = lines[:head] + [f"# n {count}"] + lines[head:]
+    eols = eols[:head] + [data.draw(EOLS)] + eols[head:]
+    edge_path.write_bytes(render(lines, eols).encode())
+    ref, _ = check_against_reference(edge_path, unweighted_default)
+    assert ref[0] == "graph" and ref[1].n == count
+
+    at = data.draw(st.integers(0, len(lines)))
+    if at <= head:
+        head += 1
+    if data.draw(st.booleans()):
+        past = count + data.draw(PAST_N)
+        ids = [past, data.draw(st.integers(0, count - 1))]
+        if data.draw(st.booleans()):
+            ids.reverse()
+        bad = f"{ids[0]} {ids[1]} 1.0"
+        want = f"{edge_path}:{at + 1}: vertex id {past} too large for n={count}"
+    elif at < head:
+        # Read first, a larger count holds every id; the file's own count
+        # is then the second one.
+        other = count + data.draw(st.integers(1, 2**40))
+        bad = f"# n {other}"
+        want = (f"{edge_path}:{head + 1}: vertex count {count} differs from "
+                f"{other} at line {at + 1}")
+    else:
+        other = data.draw(st.integers(0, 2**40).filter(lambda c: c != count))
+        bad = f"# n {other}"
+        want = (f"{edge_path}:{at + 1}: vertex count {other} differs from "
+                f"{count} at line {head + 1}")
+    lines = lines[:at] + [bad] + lines[at:]
+    eols = eols[:at] + [data.draw(EOLS)] + eols[at:]
+    edge_path.write_bytes(render(lines, eols).encode())
+    ref, _ = check_against_reference(edge_path, unweighted_default)
+    assert ref == ("error", want)
 
 
 ASCII = st.characters(min_codepoint=0, max_codepoint=127)
@@ -296,27 +349,41 @@ def test_constant_weight_files_match_reference(tmp_path, weight, n):
 
 
 def test_parsed_rows_freed_before_the_mirror(tmp_path, monkeypatch):
-    """numpy's record array is gone before the mirror allocates the CSR."""
-    cfg = PlantedCliqueConfig(n=300, p=0.05, k=6, r=3, weighted=True, seed=4)
+    """numpy's record array, the upper triangle U and the bool sum U + Uᵀ
+    are all gone before the CSR's float data is allocated."""
+    cfg = PlantedCliqueConfig(n=300, p=0.05, k=6, r=3, seed=4)
     g, _, _ = generate_planted_clique(cfg)
     path = tmp_path / "edges.tsv"
     save_edge_list(g, path)
-    parsed, rows_alive = [], []
-    real_loadtxt, real_mirror = np.loadtxt, graph_module._mirror
+    built, alive = [], []
+    real_loadtxt, real_upper = np.loadtxt, graph_module._upper_triangle
+    real_full, real_add = np.full, sparse.csr_matrix.__add__
 
     def loadtxt(*args, **kwargs):
         rows = real_loadtxt(*args, **kwargs)
-        parsed.append(weakref.ref(rows))
+        built.append(weakref.ref(rows))
         return rows
 
-    def mirror(upper, w_max):
-        rows_alive.append([ref() is not None for ref in parsed])
-        return real_mirror(upper, w_max)
+    def upper_triangle(*args):
+        upper = real_upper(*args)
+        built.append(weakref.ref(upper))
+        return upper
+
+    def add(self, other):
+        total = real_add(self, other)
+        built.append(weakref.ref(total))
+        return total
+
+    def full(*args, **kwargs):
+        alive.append([ref() is not None for ref in built])
+        return real_full(*args, **kwargs)
 
     monkeypatch.setattr(graph_module.np, "loadtxt", loadtxt)
-    monkeypatch.setattr(graph_module, "_mirror", mirror)
+    monkeypatch.setattr(graph_module, "_upper_triangle", upper_triangle)
+    monkeypatch.setattr(sparse.csr_matrix, "__add__", add)
+    monkeypatch.setattr(graph_module.np, "full", full)
     assert_same_graph(load_edge_list(path), g)
-    assert rows_alive == [[False]]
+    assert alive == [[False, False, False]]
 
 
 @pytest.mark.parametrize("text, calls", [
