@@ -26,8 +26,7 @@ def _peel_keys(graph: WeightedGraph):
     float64 keys and ``inf``.
     """
     adj = graph.adj
-    # Reductions, not an nnz-sized mask: adj.data has 25M entries at 50k.
-    if graph.w_max == 1.0 and adj.data.min() == 1.0:
+    if graph.unit_weights:
         degree = np.diff(adj.indptr)
         top = int(degree.max())
         dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)

@@ -42,11 +42,30 @@ class WeightedGraph:
         return self.adj.nnz // 2
 
     @functools.cached_property
-    def eigenpair(self):
+    def _spectrum(self):
         """``dominant_eigenpair(adj, w_max)``, computed once on first use."""
-        eig1, v1, residual = dominant_eigenpair(self.adj, self.w_max)
+        eig1, v1, residual, sigma2_floor = dominant_eigenpair(self.adj,
+                                                              self.w_max)
         v1.flags.writeable = False  # shared by every solver run on the graph
-        return eig1, v1, residual
+        return (eig1, v1, residual), sigma2_floor
+
+    @property
+    def eigenpair(self):
+        """(eig1, v1, residual) of the dominant eigenpair."""
+        return self._spectrum[0]
+
+    @property
+    def sigma2_floor(self) -> float:
+        """A lower estimate of ||A - eig1*v1*v1^T||, from the eigenpair's
+        Lanczos run at no extra product."""
+        return self._spectrum[1]
+
+    @functools.cached_property
+    def unit_weights(self) -> bool:
+        """Whether every stored weight is 1.0, so that row sums are the
+        degrees ``np.diff(adj.indptr)`` exactly. Decided once per graph."""
+        # Reductions, not an nnz-sized mask: adj.data has 25M entries at 50k.
+        return bool(self.w_max == 1.0 and self.adj.data.min() == 1.0)
 
     @classmethod
     def from_edges(cls, n, u, v, w=None) -> "WeightedGraph":
@@ -249,10 +268,11 @@ def load_edge_list(path, unweighted_default=False, n=None) -> WeightedGraph:
     so ids stay below it. Without one, a comment of the form "# n <count>"
     (written by :func:`save_edge_list`) is the vertex count, so isolated
     trailing vertices survive a round trip; with one, the count may not
-    exceed ``n``. Every "# n" line of a file gives the same count. Comments
-    take a whole line: "#" inside an edge line is an error. Malformed input
-    raises :class:`GraphFormatError` naming the first bad line, or only the
-    file when it is not UTF-8 text.
+    exceed ``n``. Every "# n" line of a file gives the same count. With
+    neither, ids stay below 2**31 - 1, so that one stray id cannot size the
+    graph. Comments take a whole line: "#" inside an edge line is an error.
+    Malformed input raises :class:`GraphFormatError` naming the first bad
+    line, or only the file when it is not UTF-8 text.
 
     One loop reads the file line by line. At the first edge line it offers
     the rest of the file to :func:`_numpy_parse`; where that declines, the
@@ -357,11 +377,22 @@ def load_edge_list(path, unweighted_default=False, n=None) -> WeightedGraph:
         raise GraphFormatError(f"{path}: not UTF-8 text") from exc
     if count is None:
         count = max((max(us, default=-1), max(vs, default=-1))) + 1
+        if count > _MAX_IMPLIED_N:
+            top, at = next((key[1], at) for key, at in seen.items()
+                           if key[1] >= _MAX_IMPLIED_N)
+            raise GraphFormatError(
+                f"{path}:{at}: vertex id {top} too large for an edge list "
+                f"without a vertex count (ids stay below {_MAX_IMPLIED_N}; "
+                "give n or a '# n' line)")
     return WeightedGraph.from_edges(count, us, vs, ws)
 
 
 # The largest vertex count: n, and so every id + 1, must fit in an int64.
 _MAX_N = np.iinfo(np.int64).max
+# The largest vertex count the ids of a file without one may imply: one
+# stray id would otherwise size the graph, and below it the CSR and the
+# parsed ids are int32.
+_MAX_IMPLIED_N = np.iinfo(np.int32).max
 
 
 def _edge_row_dtype(ncols, limit):
@@ -400,8 +431,9 @@ def _numpy_parse(path, lineno, ncols, unweighted_default, count):
     Takes a regular file when every line from ``lineno`` on is an edge line
     with ``ncols`` columns, the column count of line ``lineno``; the graph
     has ``count`` vertices, or one more than its largest id when ``count``
-    is None. numpy's C reader parses the rows and ``from_edges``'s steps run
-    every check, ids below the vertex count too.
+    is None (at most ``_MAX_IMPLIED_N``). numpy's C reader parses the rows
+    and ``from_edges``'s steps run every check, ids below the vertex count
+    too.
     Anything either rejects returns None, so that the line loop reports the
     first bad line with its number and the exact message. The parsed rows
     are freed before the upper triangle is built.
@@ -413,7 +445,7 @@ def _numpy_parse(path, lineno, ncols, unweighted_default, count):
             or not os.path.isfile(name) or name.endswith(_COMPRESSED_SUFFIXES)
             or not (ncols == 3 or (ncols == 2 and unweighted_default))):
         return None
-    limit = _MAX_N if count is None else count
+    limit = _MAX_IMPLIED_N if count is None else count
     try:
         # Given a file name (not a buffer), loadtxt reads in large chunks
         # through a universal-newline text layer, like the line loop. An
@@ -425,7 +457,9 @@ def _numpy_parse(path, lineno, ncols, unweighted_default, count):
         return None
     u, v = rows["u"], rows["v"]
     n_final = (count if count is not None
-               else min(max(int(u.max()), int(v.max())) + 1, _MAX_N))
+               else max(int(u.max()), int(v.max())) + 1)
+    if n_final > limit:
+        return None
     try:
         # The checks read the record fields in place; what they return
         # holds nothing of the rows.

@@ -1,8 +1,11 @@
-"""Seeded power iteration and Lanczos on sparse symmetric operators.
+"""Lanczos and the power loop on sparse symmetric operators.
 
-Both stop on a relative eigen-residual: the power loop on ||Av - ray*v||,
-Lanczos on the Ritz residual of its extreme Ritz values. The spectral
-radius bound certifies the power loop's eigenvalue from above.
+The dominant eigenpair comes from one Lanczos run from the all-ones start,
+whose Ritz vector one power step checks against the eigen-residual rule
+||Av - ray*v|| <= tol * max(|ray|, 1). The same run's Ritz values give a
+lower estimate of sigma_2; a second, seeded Lanczos run on the deflated
+operator stops on the Ritz residual of its extreme Ritz values. The
+spectral radius bound certifies the eigenvalue from above.
 """
 
 from __future__ import annotations
@@ -12,63 +15,125 @@ import warnings
 import numpy as np
 
 
-def power_iteration(matvec, n, max_iters, tol, seed=0):
+def power_iteration(matvec, n, max_iters, tol, seed=0, v0=None):
     """Estimate the dominant eigenpair of a symmetric operator.
 
-    Iterates v <- matvec(v) from a seeded random unit start until the
-    relative eigen-residual ||matvec(v) - ray*v|| / max(|ray|, 1) drops
-    below ``tol``. Returns (rayleigh, unit_vector, residual).
+    Iterates v <- matvec(v) from ``v0`` (or a seeded random start) until
+    the relative eigen-residual ||matvec(v) - ray*v|| / max(|ray|, 1) is at
+    most ``tol``, so a start that already meets it costs one product, or
+    for ``max_iters`` products after the first. Returns (rayleigh,
+    unit_vector, residual).
     """
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
+    v = (np.random.default_rng(seed).standard_normal(n) if v0 is None
+         else np.array(v0, dtype=np.float64))
     v /= np.linalg.norm(v)
     w = matvec(v)
     ray = float(v @ w)
     residual = float(np.linalg.norm(w - ray * v))
     for _ in range(max_iters):
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0, v, 0.0
-        v = w / norm
+        if residual <= tol * max(abs(ray), 1.0):
+            break
+        v = w / np.linalg.norm(w)  # w != 0, or the residual would be 0
         w = matvec(v)
         ray = float(v @ w)
         residual = float(np.linalg.norm(w - ray * v))
-        if residual <= tol * max(abs(ray), 1.0):
-            break
     return ray, v, residual
 
 
-# Iteration budget and relative residual tolerance of the dominant-eigenpair
-# power loop and of the sigma_2 Lanczos run.
-EIG_MAX_ITERS, EIG_TOL = 10_000, 1e-8
+# Product budget and relative residual tolerance of the dominant eigenpair
+# (Lanczos steps and power steps together), the most Lanczos vectors held at
+# once, and the step cap and tolerance of the sigma_2 Lanczos run.
+EIG_MAX_ITERS, EIG_TOL, EIG_BASIS = 10_000, 1e-8, 20
 SIGMA2_MAX_STEPS, SIGMA2_TOL = 300, 1e-10
 
 
-def dominant_eigenpair(adj, w_max):
-    """Largest-magnitude eigenpair of a non-negative symmetric sparse matrix.
+def _lanczos_top(adj, shift):
+    """Lanczos on A with full reorthogonalization from the all-ones start.
 
-    For such matrices the spectral radius equals the top eigenvalue, so the
-    iteration runs on the shifted operator A + w_max*I, whose top eigenvalue
-    is strictly dominant in magnitude even for bipartite graphs. Warns when
-    the residual is still above ``EIG_TOL`` after ``EIG_MAX_ITERS`` steps.
-    Returns (eigenvalue, unit_vector, residual).
+    Holds at most ``EIG_BASIS`` basis vectors and restarts from the top
+    Ritz vector when they are used up. Stops once the top Ritz residual
+    beta_j*|e_j^T y| is at most EIG_TOL * max(|theta + shift|, 1), the
+    power loop's rule on A + shift*I (Krylov spaces do not move under a
+    shift), or after ``EIG_MAX_ITERS`` products. Returns (theta, ritz,
+    steps): the Ritz values of the last basis in ascending order, the unit
+    top Ritz vector and the products taken. The Ritz values are those of A
+    on a subspace, so they interlace A's eigenvalues (Cauchy).
     """
+    n = adj.shape[0]
+    q = np.ones(n) / np.sqrt(n)
+    basis = np.empty((min(EIG_BASIS, n), n))
+    steps = 0
+    while True:
+        alphas, betas = [], []
+        for j in range(len(basis)):
+            basis[j] = q
+            w = adj @ q
+            steps += 1
+            alphas.append(float(q @ w))
+            # Classical Gram-Schmidt against the whole basis, twice.
+            for _ in range(2):
+                w -= basis[:j + 1].T @ (basis[:j + 1] @ w)
+            beta = float(np.linalg.norm(w))
+            theta, y = np.linalg.eigh(
+                np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+            done = (beta * abs(y[-1, -1])
+                    <= EIG_TOL * max(abs(theta[-1] + shift), 1.0))
+            if done or steps >= EIG_MAX_ITERS:
+                break
+            betas.append(beta)
+            q = w / beta
+        q = y[:, -1] @ basis[:j + 1]
+        q /= np.linalg.norm(q)
+        if done or steps >= EIG_MAX_ITERS:
+            return theta, q, steps
+
+
+def dominant_eigenpair(adj, w_max):
+    """Largest-magnitude eigenpair of a non-negative symmetric sparse
+    matrix, and a lower estimate of sigma_2.
+
+    For such matrices the spectral radius equals the top eigenvalue, and
+    the all-ones start cannot be orthogonal to a Perron vector. The Ritz
+    vector of :func:`_lanczos_top` is signed so that v1 . g > 0 for the
+    seeded Gaussian g = default_rng(0).standard_normal(n), the sign the
+    seeded power loop gave, and then passed to :func:`power_iteration` on
+    the shifted operator A + w_max*I, whose top eigenvalue is strictly
+    dominant in magnitude even for bipartite graphs: one product when the
+    Ritz residual already meets ``EIG_TOL``, power steps from it otherwise.
+    The run shares ``EIG_MAX_ITERS`` products and warns when the residual
+    is still above ``EIG_TOL`` after them.
+
+    The lower estimate is sigma2_floor = max(theta_2, -theta_min, 0) over
+    the Ritz values of Lanczos' last basis. Cauchy interlacing gives
+    theta_2 <= lambda_2(A) and theta_min >= lambda_n(A), and for any
+    eig1 >= 0 and unit v1, M = A - eig1*v1*v1^T has lambda_1(M) >=
+    lambda_2(A) and lambda_n(M) <= lambda_n(A) (Weyl), so sigma2_floor <=
+    ||M||. Returns (eigenvalue, unit_vector, residual, sigma2_floor).
+    """
+    n = adj.shape[0]
+    if n == 0:
+        return 0.0, np.zeros(0), 0.0, 0.0
     shift = max(w_max, 1e-12)
 
     def shifted(v):
         return adj @ v + shift * v
 
-    ray, vec, residual = power_iteration(shifted, adj.shape[0], EIG_MAX_ITERS,
-                                         EIG_TOL, seed=0)
+    theta, ritz, steps = _lanczos_top(adj, shift)
+    if ritz @ np.random.default_rng(0).standard_normal(n) < 0:
+        ritz = -ritz
+    ray, vec, residual = power_iteration(
+        shifted, n, EIG_MAX_ITERS - steps, EIG_TOL, v0=ritz)
     if residual > EIG_TOL * max(abs(ray), 1.0):
         warnings.warn(
             f"power iteration residual {residual:.3e} after {EIG_MAX_ITERS} "
             "iterations; eigenpair estimate may be inaccurate",
             RuntimeWarning, stacklevel=2)
-    return ray - shift, vec, residual
+    floor = max(float(theta[-2]) if len(theta) > 1 else 0.0,
+                -float(theta[0]), 0.0)
+    return ray - shift, vec, residual, floor
 
 
-def spectral_radius_bound(adj, v):
+def spectral_radius_bound(adj, v, unit_weights=False):
     """Upper bound on the spectral radius of a non-negative symmetric matrix.
 
     The smaller of the largest weighted degree and the Collatz-Wielandt
@@ -76,13 +141,17 @@ def spectral_radius_bound(adj, v):
     ratio costs one matvec and is tight when v is the Perron vector. A row
     with |v|_i = 0 counts as 0 when it is empty and as +inf otherwise (a
     component on which v vanishes may carry the spectral radius), so the
-    degree bound then decides.
+    degree bound then decides. With ``unit_weights`` (every stored entry
+    1.0) the degrees are the row lengths, equal to the row sums bit for bit
+    and read without a product.
     """
     x = np.abs(v)
     ax = adj @ x
     ratio = np.divide(ax, x, out=np.full(len(x), np.inf), where=x > 0)
-    ratio[np.diff(adj.indptr) == 0] = 0.0
-    degree = np.asarray(adj.sum(axis=1)).ravel()
+    lengths = np.diff(adj.indptr)
+    ratio[lengths == 0] = 0.0
+    degree = (lengths if unit_weights
+              else np.asarray(adj.sum(axis=1)).ravel())
     return float(min(ratio.max(initial=0.0), degree.max(initial=0.0)))
 
 

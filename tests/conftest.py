@@ -68,9 +68,32 @@ def small_instances(draw, max_n=16):
 
 def two_triangles():
     """Two disjoint triangles with weights 1 and 1 - 1e-5: top eigenvalues
-    2 and 2 - 2e-5, too close for power iteration to separate."""
+    2 and 2 - 2e-5, too close for power iteration to separate. From the
+    all-ones start, two Lanczos steps span both Perron vectors."""
     return WeightedGraph.from_edges(6, [0, 0, 1, 3, 3, 4], [1, 2, 2, 4, 5, 5],
                                     [1.0] * 3 + [1.0 - 1e-5] * 3)
+
+
+def two_camps(seed, n=2080, clique=40, per_vertex=3):
+    """Two camps: 40-cliques on vertices 0-39 and 40-79, plus ``per_vertex``
+    * n / 2 distinct random edges over all n vertices (about 3 per vertex).
+
+    The random edges make the camps unequal, so lambda_1 is simple, but
+    they leave it close to lambda_2: on seeds 0-3 the gap is 0.016-0.16 of
+    about 39, and a power loop from a random start needs 3298 to over
+    10000 products to a 1e-8 residual.
+    """
+    rng = np.random.default_rng(seed)
+    iu, iv = np.triu_indices(clique, k=1)
+    pairs = set(zip(iu.tolist(), iv.tolist()))
+    pairs |= set(zip((iu + clique).tolist(), (iv + clique).tolist()))
+    target = len(pairs) + per_vertex * n // 2
+    while len(pairs) < target:
+        a, b = sorted(rng.integers(0, n, 2).tolist())
+        if a != b:
+            pairs.add((a, b))
+    u, v = zip(*sorted(pairs))
+    return WeightedGraph.from_edges(n, u, v)
 
 
 def random_spec(rng, n, r_max=3, k_min=1, k_max=None):

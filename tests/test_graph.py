@@ -114,6 +114,22 @@ class TestLoadEdgeList:
         with pytest.raises(GraphFormatError, match=message):
             load_edge_list(write(tmp_path, text))
 
+    @pytest.mark.parametrize("big", [3000000000, 9223372036854775806,
+                                     2**31 - 1])
+    def test_huge_id_without_a_count(self, tmp_path, big):
+        """Without n or a "# n" line the largest id sets the vertex count,
+        so an id past the int32 range fails at its line before any array
+        is sized from it."""
+        path = write(tmp_path, f"0 1 1.0\n2 {big} 1.0\n{big} 3 1.0\n")
+        with pytest.raises(GraphFormatError, match=(
+                f":2: vertex id {big} too large for an edge list without "
+                "a vertex count")):
+            load_edge_list(path)
+        # A given n bounds it instead.
+        with pytest.raises(GraphFormatError, match=f":2: vertex id {big} "
+                           "too large for n=3"):
+            load_edge_list(path, n=3)
+
     @pytest.mark.parametrize("text, message", [
         ("# n 1\n0 1 1.0\n", ":2: vertex id 1 too large for n=1"),
         ("0 5 1.0\n1 2 1.0\n# n 3\n", ":1: vertex id 5 too large for n=3"),

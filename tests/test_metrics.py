@@ -27,7 +27,8 @@ from vacdks.metrics import DEGENERATE_GAP
 from vacdks.spectral import (dominant_eigenpair, power_iteration,
                              spectral_radius_bound)
 
-from conftest import random_graph, random_spec, small_instances, two_triangles
+from conftest import (random_graph, random_spec, small_instances, two_camps,
+                      two_triangles)
 
 
 def second_singular_value(adj, eig1, v1):
@@ -125,7 +126,7 @@ class TestSpectral:
     def test_dominant_eigenpair_matches_dense(self, rng):
         for _ in range(10):
             g = random_graph(rng, 15, min_edges=3)
-            eig, v, res = dominant_eigenpair(g.adj, g.w_max)
+            eig, v, res, _ = dominant_eigenpair(g.adj, g.w_max)
             dense_top = np.linalg.eigvalsh(g.adj.toarray())[-1]
             assert eig == pytest.approx(dense_top, abs=1e-6)
             assert res <= 1e-6 * max(eig, 1.0)
@@ -134,21 +135,115 @@ class TestSpectral:
         # single edge: eigenvalues are +w and -w, which defeats unshifted
         # power iteration on A alone
         g = WeightedGraph.from_edges(2, [0], [1], [2.0])
-        eig, _, _ = dominant_eigenpair(g.adj, g.w_max)
+        eig, _, _, _ = dominant_eigenpair(g.adj, g.w_max)
         assert eig == pytest.approx(2.0, abs=1e-8)
 
     def test_non_convergence_warns_after_one_run(self, monkeypatch):
+        # A one-vector basis restarts from its own start, so Lanczos spends
+        # the whole budget in place; two steps would separate the triangles.
+        monkeypatch.setattr(spectral, "EIG_BASIS", 1)
+        monkeypatch.setattr(spectral, "EIG_MAX_ITERS", 100)
         calls = counting(monkeypatch, power_iteration, spectral)
-        with pytest.warns(RuntimeWarning, match="after 10000 iterations"):
-            eig, _, res = dominant_eigenpair(two_triangles().adj, 1.0)
+        with pytest.warns(RuntimeWarning, match="after 100 iterations"):
+            eig, _, res, _ = dominant_eigenpair(two_triangles().adj, 1.0)
         assert len(calls) == 1
         assert res > spectral.EIG_TOL * 3.0
         assert eig == pytest.approx(2.0, abs=1e-3)
 
+    def test_power_iteration_from_a_converged_start(self):
+        # v0 meeting the residual rule costs one product; any other start
+        # is iterated as before.
+        d = np.array([3.0, 1.0, 2.0])
+        products = []
+
+        def matvec(x):
+            products.append(x)
+            return d * x
+
+        ray, v, res = power_iteration(matvec, 3, 500, 1e-12, v0=[0, 0, 2.0])
+        assert (ray, res, len(products)) == (2.0, 0.0, 1)
+        assert v.tolist() == [0.0, 0.0, 1.0]
+        ray, v, res = power_iteration(matvec, 3, 500, 1e-12, v0=[1, 1, 1.0])
+        assert ray == pytest.approx(3.0, abs=1e-8) and len(products) > 2
+
+    @pytest.mark.parametrize("seed, basis, most", [
+        (0, 20, 20), (1, 20, 20), (2, 20, 20), (3, 20, 20),
+        # Three stored vectors: the run restarts from its top Ritz vector
+        # about a dozen times and still converges.
+        (1, 3, 60)])
+    def test_two_camps_in_few_products(self, monkeypatch, seed, basis, most):
+        # A random-start power loop took 3298 to over 10000 products here.
+        monkeypatch.setattr(spectral, "EIG_BASIS", basis)
+        g = two_camps(seed)
+        adj, products = g.adj, []
+
+        class Counting:
+            shape = adj.shape
+
+            def __matmul__(self, x):
+                products.append(x)
+                return adj @ x
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eig, v, res, floor = dominant_eigenpair(Counting(), g.w_max)
+        assert len(products) <= most
+        a = adj.toarray()
+        dense = np.linalg.eigvalsh(a)[-1]
+        assert abs(eig - dense) <= spectral.EIG_TOL * dense
+        assert res <= spectral.EIG_TOL * (eig + g.w_max)
+        ev = np.linalg.eigvalsh(a - eig * np.outer(v, v))
+        assert 0.0 < floor <= max(-ev[0], ev[-1]) * (1 + 1e-12)
+
+    def test_sign_of_the_seeded_power_loop(self, rng):
+        """v1 . g > 0 for g = default_rng(0).standard_normal(n), the start
+        of the seeded power loop, which so gives v1 the same sign."""
+        graphs = [random_graph(rng, int(rng.integers(2, 40)),
+                               weighted=bool(i % 2), min_edges=1)
+                  for i in range(20)] + [two_camps(3), two_triangles()]
+        for g in graphs:
+            _, v, _, _ = dominant_eigenpair(g.adj, g.w_max)
+            assert v @ np.random.default_rng(0).standard_normal(g.n) > 0
+
+            def shifted(x):
+                return g.adj @ x + g.w_max * x
+
+            _, power_v, _ = power_iteration(shifted, g.n, 10_000, 1e-8,
+                                            seed=0)
+            assert v @ power_v > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["weighted", "unweighted", "bipartite",
+                                 "disconnected"]),
+           n=st.integers(2, 40), p=st.floats(0.05, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sigma2_floor_below_deflated_norm(self, kind, n, p, seed):
+        """sigma2_floor <= ||A - eig1 v1 v1^T|| (dense eigvalsh) for the
+        eigenpair of the same run."""
+        rng = np.random.default_rng(seed)
+        if kind == "bipartite":
+            left = int(rng.integers(1, n))
+            u, v = np.nonzero(rng.random((left, n - left)) < p)
+            g = WeightedGraph.from_edges(n, u, v + left,
+                                         rng.uniform(0.05, 1.0, len(u)))
+        elif kind == "disconnected":
+            parts = [random_graph(rng, size, weighted=bool(seed % 2), p=p).adj
+                     for size in (n // 2, n - n // 2)]
+            adj = sparse.block_diag(parts).tocsr()
+            g = WeightedGraph(adj=adj, w_max=float(adj.data.max(initial=0.0)))
+        else:
+            g = random_graph(rng, n, weighted=kind == "weighted", p=p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eig, v, _, floor = dominant_eigenpair(g.adj, g.w_max)
+        assert type(floor) is float and floor >= 0.0
+        ev = np.linalg.eigvalsh(g.adj.toarray() - eig * np.outer(v, v))
+        assert floor <= max(-ev[0], ev[-1]) * (1 + 1e-12)
+
     def test_second_singular_value_matches_dense(self, rng):
         for _ in range(10):
             g = random_graph(rng, 12, min_edges=3)
-            eig, v, _ = dominant_eigenpair(g.adj, g.w_max)
+            eig, v, _, _ = dominant_eigenpair(g.adj, g.w_max)
             s2 = second_singular_value(g.adj, eig, v)
             dense_svals = np.linalg.svd(g.adj.toarray(), compute_uv=False)
             assert s2 == pytest.approx(dense_svals[1], abs=1e-5)
@@ -157,7 +252,7 @@ class TestSpectral:
     def assert_bounds_deflated_norm(g):
         """sigma_2 is a Python float at or above ||A - eig1 v1 v1^T|| (dense
         eigvalsh, itself exact only to a few ulps) and within 1e-8 of it."""
-        eig, v, _ = dominant_eigenpair(g.adj, g.w_max)
+        eig, v, _, _ = dominant_eigenpair(g.adj, g.w_max)
         s2 = second_singular_value(g.adj, eig, v)
         assert type(s2) is float  # a numpy scalar breaks `vacdks bound` JSON
         ev = np.linalg.eigvalsh(g.adj.toarray() - eig * np.outer(v, v))
@@ -235,6 +330,15 @@ class TestSpectral:
         assert spectral_radius_bound(g.adj, g.eigenpair[1]) == \
             pytest.approx(3.0, rel=1e-12)
 
+    def test_unit_weight_degrees_are_row_lengths(self, rng):
+        # The row lengths equal the row sums of 1.0 bit for bit.
+        for i in range(20):
+            g = random_graph(rng, int(rng.integers(1, 40)), weighted=False,
+                             p=float(rng.uniform(0.05, 0.9)))
+            for v in (g.eigenpair[1], rng.standard_normal(g.n)):
+                assert spectral_radius_bound(g.adj, v, unit_weights=True) \
+                    == spectral_radius_bound(g.adj, v)
+
 
 def upper_bound_reference(graph, spec):
     """``upper_bound(...).to_dict()`` with sigma_2 always run to convergence.
@@ -295,9 +399,9 @@ class TestUpperBoundAgainstReference:
         assert d == ref
 
     def test_bound_alone_skips_the_full_sigma2(self, monkeypatch):
-        # min(1, term_sigma1) decides this bound after a few Lanczos steps;
-        # the record then resumes that run, so a report takes the steps of
-        # one full run in all, in the same order.
+        # The eigenpair's sigma2_floor already puts the rank-1 term above
+        # min(1, term_sigma1), so the bound takes no sigma_2 step; the
+        # record then runs sigma_2 once, from its seeded start.
         cfg = PlantedCliqueConfig(n=2000, p=0.02, k=12, r=3, seed=1)
         g, attr, _ = generate_planted_clique(cfg)
         spec = ConstraintSpec(k=12, mins=(4, 4, 4), attr=attr)
@@ -315,7 +419,7 @@ class TestUpperBoundAgainstReference:
             monkeypatch.setattr(mod, "_lanczos_sigma2", counting_run)
         rep = upper_bound(g, spec)
         assert rep.bound == min(1.0, rep.term_sigma1)
-        assert 0 < len(steps) < len(full)
+        assert steps == []
         assert rep.to_dict() == ref
         assert steps == full
         rep.to_dict()
@@ -386,6 +490,29 @@ class TestUpperBound:
             rep = upper_bound(g, spec)
             assert len(calls) == 1
             assert rep.bilinear_value == lrbo_rank1(g, spec)[2]
+
+    def test_unit_weights_decided_once_without_row_sums(self, rng,
+                                                        monkeypatch):
+        """On unit weights neither the bound's degrees nor the peel's keys
+        take a row sum, and the graph keeps its one unit-weight check."""
+        g = random_graph(rng, 30, weighted=False, min_edges=3)
+        spec = random_spec(rng, 30, k_min=2)
+        ref = upper_bound(WeightedGraph(adj=g.adj, w_max=g.w_max), spec)
+        sums = []
+        row_sum = type(g.adj).sum
+
+        def counted(self, *args, **kwargs):
+            sums.append(args)
+            return row_sum(self, *args, **kwargs)
+
+        monkeypatch.setattr(type(g.adj), "sum", counted)
+        assert upper_bound(g, spec) == ref
+        greedy_peel(g, spec)
+        assert sums == [] and g.__dict__["unit_weights"] is True
+        heavy = WeightedGraph(adj=2.0 * g.adj, w_max=2.0)
+        assert not heavy.unit_weights
+        greedy_peel(heavy, spec)
+        assert len(sums) == 1
 
     def test_bound_computes_no_induced_weight(self, rng, monkeypatch):
         """The bound takes the bilinear value alone, not LRBO's reported
