@@ -25,17 +25,15 @@ def _peel_keys(graph: WeightedGraph):
     or above sentinel - D > D, above every live key. Other weights keep
     float64 keys and ``inf``.
     """
-    adj = graph.adj
+    adj, degree = graph.adj, graph.degrees
     if graph.unit_weights:
-        degree = np.diff(adj.indptr)
         top = int(degree.max())
         dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
                      if np.iinfo(t).max >= 2 * top + 1)
         sentinel = int(np.iinfo(dtype).max)
         step = np.broadcast_to(dtype(1), (adj.nnz,))  # zero-stride ones
         return degree.astype(dtype), sentinel, sentinel - top, step
-    key = np.asarray(adj.sum(axis=1)).ravel().astype(np.float64)
-    return key, np.inf, np.inf, adj.data
+    return degree.astype(np.float64), np.inf, np.inf, adj.data
 
 
 def greedy_peel(graph: WeightedGraph, spec: ConstraintSpec) -> np.ndarray:

@@ -67,6 +67,15 @@ class WeightedGraph:
         # Reductions, not an nnz-sized mask: adj.data has 25M entries at 50k.
         return bool(self.w_max == 1.0 and self.adj.data.min() == 1.0)
 
+    @property
+    def degrees(self) -> np.ndarray:
+        """Weighted degrees, a new array per read: the row lengths on unit
+        weights, read without a pass over ``adj.data``, the row sums
+        otherwise."""
+        if self.unit_weights:
+            return np.diff(self.adj.indptr)
+        return np.asarray(self.adj.sum(axis=1)).ravel()
+
     @classmethod
     def from_edges(cls, n, u, v, w=None) -> "WeightedGraph":
         """Build a graph from parallel endpoint arrays, one entry per edge.
@@ -106,8 +115,7 @@ def _checked_edges(n, u, v, w):
     """
     # Integer ids keep the width they arrive in: an int32 pair stream is
     # not copied to int64.
-    u, v = (x if x.dtype.kind in "iu" else np.asarray(x, dtype=np.int64)
-            for x in (np.asarray(u), np.asarray(v)))
+    u, v = _integer_array(u, "vertex ids"), _integer_array(v, "vertex ids")
     if w is not None:
         w = np.asarray(w, dtype=np.float64)
     if len(u) != len(v) or (w is not None and len(w) != len(u)):
@@ -222,7 +230,8 @@ class AttributeAssignment:
 
     @classmethod
     def from_labels(cls, labels, r=None) -> "AttributeAssignment":
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = np.asarray(_integer_array(labels, "group labels"),
+                            dtype=np.int64)
         if len(labels) and labels.min() < 0:
             raise ValueError("negative group index")
         if r is None:
@@ -724,17 +733,30 @@ def generate_planted_clique(cfg: PlantedCliqueConfig):
     return graph, attr, planted
 
 
+def _integer_array(x, what) -> np.ndarray:
+    """``x`` as an array of integers, in the width it arrives in.
+
+    Raises ValueError when ``x`` is not empty and holds anything else: a
+    float is never truncated. An empty ``x`` is an empty int64 array, as
+    ``np.asarray([])`` is float64.
+    """
+    x = np.asarray(x)
+    if x.dtype.kind in "iu":
+        return x
+    if x.size:
+        raise ValueError(f"{what} must be integers, got {x.dtype}")
+    return x.astype(np.int64)
+
+
 def _vertex_ids(s, n) -> np.ndarray:
     """Sorted distinct ids of the vertex collection ``s``.
 
     Raises ValueError unless every id is an integer in [0, n): a float is
     never truncated and a negative id never wraps around to the end.
     """
-    ids = np.asarray(list(s))
+    ids = _integer_array(list(s), "vertex ids")
     if ids.size == 0:
         return np.empty(0, dtype=np.int64)
-    if ids.dtype.kind not in "iu":
-        raise ValueError(f"vertex ids must be integers, got {ids.dtype}")
     if ids.min() < 0 or ids.max() >= n:
         raise ValueError(f"vertex id out of range [0, {n})")
     return np.unique(ids.astype(np.int64))

@@ -24,10 +24,9 @@ class BoundReport:
     """Three-term upper bound on the optimal normalized edge weight.
 
     ``term_rank1``, ``sigma2`` and ``degenerate_spectrum`` are resolved on
-    first read and cached: ``bound`` may have been settled before sigma_2
-    converged, or before its run started, and then reading them,
-    ``to_dict`` or ``==`` resumes the suspended sigma_2 run from the step
-    where it stopped, or runs it from its seeded start.
+    first read and cached: when a lower estimate of sigma_2 settled
+    ``bound``, sigma_2's run has not started, and the first read of them,
+    ``to_dict`` or ``==`` runs it once.
     """
 
     term_trivial: float
@@ -116,11 +115,9 @@ def upper_bound(graph: WeightedGraph, spec: ConstraintSpec) -> BoundReport:
     sigma_2 cannot decide the bound once the rank-1 term built from a lower
     estimate of ||M|| exceeds min(1, sigma_1 term), and the bound is then
     that cap. The graph's ``sigma2_floor``, from the eigenpair's own
-    Lanczos run, is the first such estimate: when it settles the bound,
-    sigma_2's run is not started. Otherwise the run is suspended at the
-    first step whose largest |theta| (at most ||M||, so at most the
-    converged sigma_2) settles it. The report runs or resumes the run if a
-    field needs sigma_2.
+    Lanczos run, is such an estimate: when it settles the bound, sigma_2's
+    run is left to the first report field that needs it. Otherwise sigma_2
+    is run to convergence here and the report keeps it.
     """
     validate(spec, graph)
     k = spec.k
@@ -132,7 +129,7 @@ def upper_bound(graph: WeightedGraph, spec: ConstraintSpec) -> BoundReport:
 
     w_max = graph.w_max
     eig1, v1, residual = graph.eigenpair
-    sigma1 = spectral_radius_bound(graph.adj, v1, graph.unit_weights)
+    sigma1 = spectral_radius_bound(graph, v1)
     bilinear_value = max(c[2] for c in _bilinear_candidates(graph, spec))
     term_sigma1 = sigma1 / (w_max * (k - 1))
     cap = min(1.0, term_sigma1)
@@ -144,14 +141,10 @@ def upper_bound(graph: WeightedGraph, spec: ConstraintSpec) -> BoundReport:
                 + sigma2_eff / (w_max * (k - 1)))
         return term, sigma2, degenerate
 
-    # A generator: no step runs until it is iterated.
-    lanczos = _lanczos_sigma2(graph.adj, eig1, v1)
-    sigma2 = graph.sigma2_floor
-    if rank1(sigma2)[0] <= cap:
-        for top, sigma2 in lanczos:
-            if rank1(top)[0] > cap:
-                break
-    return BoundReport(
-        1.0, term_sigma1, min(cap, rank1(sigma2)[0]), sigma1, bilinear_value,
-        residual, lambda: rank1(
-            functools.reduce(lambda _, step: step[1], lanczos, sigma2)))
+    if rank1(graph.sigma2_floor)[0] > cap:
+        return BoundReport(
+            1.0, term_sigma1, cap, sigma1, bilinear_value, residual,
+            lambda: rank1(_lanczos_sigma2(graph.adj, eig1, v1)))
+    resolved = rank1(_lanczos_sigma2(graph.adj, eig1, v1))
+    return BoundReport(1.0, term_sigma1, min(cap, resolved[0]), sigma1,
+                       bilinear_value, residual, lambda: resolved)

@@ -1,11 +1,11 @@
-"""Lanczos and the power loop on sparse symmetric operators.
+"""Lanczos runs on sparse symmetric operators.
 
 The dominant eigenpair comes from one Lanczos run from the all-ones start,
-whose Ritz vector one power step checks against the eigen-residual rule
+whose Ritz vector one product checks against the eigen-residual rule
 ||Av - ray*v|| <= tol * max(|ray|, 1). The same run's Ritz values give a
 lower estimate of sigma_2; a second, seeded Lanczos run on the deflated
-operator stops on the Ritz residual of its extreme Ritz values. The
-spectral radius bound certifies the eigenvalue from above.
+operator gives sigma_2 itself, from above. The spectral radius bound
+certifies the eigenvalue from above.
 """
 
 from __future__ import annotations
@@ -15,34 +15,23 @@ import warnings
 import numpy as np
 
 
-def power_iteration(matvec, n, max_iters, tol, seed=0, v0=None):
-    """Estimate the dominant eigenpair of a symmetric operator.
+def power_iteration(matvec, v):
+    """One product of a symmetric operator with ``v``: the check of an
+    eigenvector estimate.
 
-    Iterates v <- matvec(v) from ``v0`` (or a seeded random start) until
-    the relative eigen-residual ||matvec(v) - ray*v|| / max(|ray|, 1) is at
-    most ``tol``, so a start that already meets it costs one product, or
-    for ``max_iters`` products after the first. Returns (rayleigh,
-    unit_vector, residual).
+    Returns (rayleigh, unit_vector, residual), with ``unit_vector`` v scaled
+    to unit norm and ``residual`` the eigen-residual ||matvec(u) - ray*u||
+    of that unit vector u.
     """
-    v = (np.random.default_rng(seed).standard_normal(n) if v0 is None
-         else np.array(v0, dtype=np.float64))
-    v /= np.linalg.norm(v)
+    v = v / np.linalg.norm(v)
     w = matvec(v)
     ray = float(v @ w)
-    residual = float(np.linalg.norm(w - ray * v))
-    for _ in range(max_iters):
-        if residual <= tol * max(abs(ray), 1.0):
-            break
-        v = w / np.linalg.norm(w)  # w != 0, or the residual would be 0
-        w = matvec(v)
-        ray = float(v @ w)
-        residual = float(np.linalg.norm(w - ray * v))
-    return ray, v, residual
+    return ray, v, float(np.linalg.norm(w - ray * v))
 
 
-# Product budget and relative residual tolerance of the dominant eigenpair
-# (Lanczos steps and power steps together), the most Lanczos vectors held at
-# once, and the step cap and tolerance of the sigma_2 Lanczos run.
+# Lanczos product budget and relative residual tolerance of the dominant
+# eigenpair, the most Lanczos vectors held at once, and the step cap and
+# tolerance of the sigma_2 Lanczos run.
 EIG_MAX_ITERS, EIG_TOL, EIG_BASIS = 10_000, 1e-8, 20
 SIGMA2_MAX_STEPS, SIGMA2_TOL = 300, 1e-10
 
@@ -53,8 +42,8 @@ def _lanczos_top(adj, shift):
     Holds at most ``EIG_BASIS`` basis vectors and restarts from the top
     Ritz vector when they are used up. Stops once the top Ritz residual
     beta_j*|e_j^T y| is at most EIG_TOL * max(|theta + shift|, 1), the
-    power loop's rule on A + shift*I (Krylov spaces do not move under a
-    shift), or after ``EIG_MAX_ITERS`` products. Returns (theta, ritz,
+    checking product's rule on A + shift*I (Krylov spaces do not move under
+    a shift), or after ``EIG_MAX_ITERS`` products. Returns (theta, ritz,
     steps): the Ritz values of the last basis in ascending order, the unit
     top Ritz vector and the products taken. The Ritz values are those of A
     on a subspace, so they interlace A's eigenvalues (Cauchy).
@@ -95,13 +84,14 @@ def dominant_eigenpair(adj, w_max):
     For such matrices the spectral radius equals the top eigenvalue, and
     the all-ones start cannot be orthogonal to a Perron vector. The Ritz
     vector of :func:`_lanczos_top` is signed so that v1 . g > 0 for the
-    seeded Gaussian g = default_rng(0).standard_normal(n), the sign the
-    seeded power loop gave, and then passed to :func:`power_iteration` on
-    the shifted operator A + w_max*I, whose top eigenvalue is strictly
-    dominant in magnitude even for bipartite graphs: one product when the
-    Ritz residual already meets ``EIG_TOL``, power steps from it otherwise.
-    The run shares ``EIG_MAX_ITERS`` products and warns when the residual
-    is still above ``EIG_TOL`` after them.
+    seeded Gaussian g = default_rng(0).standard_normal(n), the sign a power
+    loop from that start converges to, and then checked by one product
+    (:func:`power_iteration`) on the shifted operator A + w_max*I, whose top
+    eigenvalue is strictly dominant in magnitude even for bipartite graphs.
+    That product gives the eigenvalue, the returned vector and the
+    residual; a residual above ``EIG_TOL`` warns. Lanczos' own stop rule
+    makes that happen only when it used up ``EIG_MAX_ITERS`` products or
+    its Ritz residual understated the true one.
 
     The lower estimate is sigma2_floor = max(theta_2, -theta_min, 0) over
     the Ritz values of Lanczos' last basis. Cauchy interlacing gives
@@ -121,11 +111,10 @@ def dominant_eigenpair(adj, w_max):
     theta, ritz, steps = _lanczos_top(adj, shift)
     if ritz @ np.random.default_rng(0).standard_normal(n) < 0:
         ritz = -ritz
-    ray, vec, residual = power_iteration(
-        shifted, n, EIG_MAX_ITERS - steps, EIG_TOL, v0=ritz)
+    ray, vec, residual = power_iteration(shifted, ritz)
     if residual > EIG_TOL * max(abs(ray), 1.0):
         warnings.warn(
-            f"power iteration residual {residual:.3e} after {EIG_MAX_ITERS} "
+            f"power iteration residual {residual:.3e} after {steps} "
             "iterations; eigenpair estimate may be inaccurate",
             RuntimeWarning, stacklevel=2)
     floor = max(float(theta[-2]) if len(theta) > 1 else 0.0,
@@ -133,7 +122,7 @@ def dominant_eigenpair(adj, w_max):
     return ray - shift, vec, residual, floor
 
 
-def spectral_radius_bound(adj, v, unit_weights=False):
+def spectral_radius_bound(graph, v):
     """Upper bound on the spectral radius of a non-negative symmetric matrix.
 
     The smaller of the largest weighted degree and the Collatz-Wielandt
@@ -141,32 +130,29 @@ def spectral_radius_bound(adj, v, unit_weights=False):
     ratio costs one matvec and is tight when v is the Perron vector. A row
     with |v|_i = 0 counts as 0 when it is empty and as +inf otherwise (a
     component on which v vanishes may carry the spectral radius), so the
-    degree bound then decides. With ``unit_weights`` (every stored entry
-    1.0) the degrees are the row lengths, equal to the row sums bit for bit
-    and read without a product.
+    degree bound then decides. ``graph`` is a ``WeightedGraph``, whose
+    stored weights are positive: a row is empty iff its degree is 0.
     """
+    degree = graph.degrees
     x = np.abs(v)
-    ax = adj @ x
+    ax = graph.adj @ x
     ratio = np.divide(ax, x, out=np.full(len(x), np.inf), where=x > 0)
-    lengths = np.diff(adj.indptr)
-    ratio[lengths == 0] = 0.0
-    degree = (lengths if unit_weights
-              else np.asarray(adj.sum(axis=1)).ravel())
+    ratio[degree == 0] = 0.0
     return float(min(ratio.max(initial=0.0), degree.max(initial=0.0)))
 
 
 def _lanczos_sigma2(adj, eig1, v1):
-    """Lanczos on M = A - eig1*v1*v1^T: yields (max |theta|, padded |theta|).
+    """||M|| for M = A - eig1*v1*v1^T, from above, by Lanczos on M.
 
     Runs without reorthogonalization from a seeded unit start, so every run
-    on the same operator replays the same steps. At each step, the larger
+    on the same operator takes the same steps. At each step, the larger
     |theta| of the two extreme Ritz values of the tridiagonal T_j is a lower
     estimate of ||M||, and the larger of them padded by its Ritz residual
     beta_j*|e_j^T y| an upper one (Parlett, The Symmetric Eigenvalue
     Problem, ch. 13). The run ends once the padded value exceeds the
     largest |theta| by at most ``SIGMA2_TOL`` relative, or after
     ``SIGMA2_MAX_STEPS`` steps, which warns: nothing then shows the last
-    padded value to lie above ||M||.
+    padded value to lie above ||M||. Returns the last padded value.
     """
     n = adj.shape[0]
     q = np.random.default_rng(1).standard_normal(n)
@@ -183,14 +169,13 @@ def _lanczos_sigma2(adj, eig1, v1):
         t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
         theta, y = np.linalg.eigh(t)
         ends = np.abs(theta[[0, -1]])
-        top = float(ends.max())
         padded = float(np.max(ends + beta * np.abs(y[-1, [0, -1]])))
-        yield top, padded
-        if padded <= (1.0 + SIGMA2_TOL) * top:
-            return
+        if padded <= (1.0 + SIGMA2_TOL) * float(ends.max()):
+            return padded
         betas.append(beta)
         q_prev, q = q, w / beta
     warnings.warn(
         f"sigma_2 Lanczos run not converged after {SIGMA2_MAX_STEPS} steps; "
         "its estimate may lie below ||M||", RuntimeWarning, stacklevel=2)
+    return padded
 

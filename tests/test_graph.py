@@ -516,6 +516,24 @@ def test_from_edges_rejects_bad_input():
         WeightedGraph.from_edges(3, [0], [5])
 
 
+def test_from_edges_rejects_float_ids():
+    # Cast to int, these would be the edge (0, 1).
+    for u, v in (([0.7], [1.2]), ([0], [1.0])):
+        with pytest.raises(ValueError, match="vertex ids must be integers"):
+            WeightedGraph.from_edges(3, u, v)
+    # np.asarray([]) is float64: an empty edge list is still no edge.
+    g = WeightedGraph.from_edges(3, [], [], [])
+    assert (g.n, g.m, g.w_max) == (3, 0, 0.0)
+
+
+def test_from_labels_rejects_float_labels():
+    # Cast to int, these would be the labels [0, 1, 1].
+    with pytest.raises(ValueError, match="group labels must be integers"):
+        AttributeAssignment.from_labels([0.5, 1.7, 1.2])
+    attr = AttributeAssignment.from_labels([])
+    assert attr.labels.dtype == np.int64 and (attr.n, attr.r) == (0, 0)
+
+
 @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
 def test_from_edges_rejects_non_finite_weight(weight):
     with pytest.raises(ValueError, match="finite"):

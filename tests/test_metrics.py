@@ -32,7 +32,7 @@ from conftest import (random_graph, random_spec, small_instances, two_camps,
 
 
 def second_singular_value(adj, eig1, v1):
-    """The last padded |theta| of a full ``_lanczos_sigma2`` run: sigma_2.
+    """``_lanczos_sigma2``'s sigma_2, its last padded |theta|.
 
     The norm of the deflated M = A - eig1*v1*v1^T, which is sigma_2 when
     (eig1, v1) is the dominant eigenpair; a bound from above unless the
@@ -40,9 +40,21 @@ def second_singular_value(adj, eig1, v1):
     with small probability (Kuczynski & Wozniakowski, SIAM J. Matrix Anal.
     Appl. 13(4), 1992).
     """
-    for _, sigma2 in spectral._lanczos_sigma2(adj, eig1, v1):
-        pass
-    return sigma2
+    return spectral._lanczos_sigma2(adj, eig1, v1)
+
+
+def seeded_power_loop(matvec, n, max_iters, tol):
+    """Power iteration from default_rng(0).standard_normal(n) until the
+    relative eigen-residual is at most ``tol``: (rayleigh, vector)."""
+    v = np.random.default_rng(0).standard_normal(n)
+    for _ in range(max_iters):
+        v /= np.linalg.norm(v)
+        w = matvec(v)
+        ray = float(v @ w)
+        if np.linalg.norm(w - ray * v) <= tol * max(abs(ray), 1.0):
+            break
+        v = w
+    return ray, v
 
 
 def complete_graph(k, weight=1.0):
@@ -118,10 +130,13 @@ def counting(monkeypatch, fn, *modules):
 
 class TestSpectral:
     def test_power_iteration_on_diagonal(self):
+        # One product, from a start that is no eigenvector: the Rayleigh
+        # quotient and residual of the start, scaled to unit norm.
         d = np.array([3.0, 1.0, 2.0])
-        ray, v, res = power_iteration(lambda x: d * x, 3, 500, 1e-12, seed=0)
-        assert ray == pytest.approx(3.0, abs=1e-8)
-        assert abs(v[0]) == pytest.approx(1.0, abs=1e-6)
+        ray, v, res = power_iteration(lambda x: d * x, np.full(3, 2.0))
+        assert ray == pytest.approx(2.0, rel=1e-15)
+        assert v == pytest.approx(np.full(3, 3 ** -0.5), rel=1e-15)
+        assert res == pytest.approx((2 / 3) ** 0.5, rel=1e-15)
 
     def test_dominant_eigenpair_matches_dense(self, rng):
         for _ in range(10):
@@ -151,8 +166,7 @@ class TestSpectral:
         assert eig == pytest.approx(2.0, abs=1e-3)
 
     def test_power_iteration_from_a_converged_start(self):
-        # v0 meeting the residual rule costs one product; any other start
-        # is iterated as before.
+        # An eigenvector costs one product and gives exact values.
         d = np.array([3.0, 1.0, 2.0])
         products = []
 
@@ -160,11 +174,37 @@ class TestSpectral:
             products.append(x)
             return d * x
 
-        ray, v, res = power_iteration(matvec, 3, 500, 1e-12, v0=[0, 0, 2.0])
+        ray, v, res = power_iteration(matvec, np.array([0, 0, 2.0]))
         assert (ray, res, len(products)) == (2.0, 0.0, 1)
         assert v.tolist() == [0.0, 0.0, 1.0]
-        ray, v, res = power_iteration(matvec, 3, 500, 1e-12, v0=[1, 1, 1.0])
-        assert ray == pytest.approx(3.0, abs=1e-8) and len(products) > 2
+
+    def test_perturbed_ritz_vector_warns_after_one_product(self,
+                                                           monkeypatch):
+        # A Ritz vector whose true residual misses EIG_TOL is checked by
+        # one product, and the check warns; nothing iterates from it.
+        lanczos_top = spectral._lanczos_top
+
+        def perturbed(adj, shift):
+            theta, ritz, steps = lanczos_top(adj, shift)
+            ritz = ritz + 1e-4 * np.random.default_rng(5).standard_normal(
+                len(ritz))
+            return theta, ritz / np.linalg.norm(ritz), steps
+
+        products = []
+
+        def counted(matvec, v):
+            def counted_matvec(x):
+                products.append(x)
+                return matvec(x)
+            return power_iteration(counted_matvec, v)
+
+        monkeypatch.setattr(spectral, "_lanczos_top", perturbed)
+        monkeypatch.setattr(spectral, "power_iteration", counted)
+        g = two_camps(0)
+        with pytest.warns(RuntimeWarning, match="power iteration residual"):
+            eig, _, res, _ = dominant_eigenpair(g.adj, g.w_max)
+        assert len(products) == 1
+        assert res > spectral.EIG_TOL * (eig + g.w_max)
 
     @pytest.mark.parametrize("seed, basis, most", [
         (0, 20, 20), (1, 20, 20), (2, 20, 20), (3, 20, 20),
@@ -208,8 +248,7 @@ class TestSpectral:
             def shifted(x):
                 return g.adj @ x + g.w_max * x
 
-            _, power_v, _ = power_iteration(shifted, g.n, 10_000, 1e-8,
-                                            seed=0)
+            _, power_v = seeded_power_loop(shifted, g.n, 10_000, 1e-8)
             assert v @ power_v > 0
 
     @settings(max_examples=300, deadline=None)
@@ -314,7 +353,7 @@ class TestSpectral:
             dense = np.linalg.eigvalsh(a)[-1]
             # any vector gives a bound; a rough one, a loose bound
             for v in (g.eigenpair[1], rng.standard_normal(g.n)):
-                s1 = spectral_radius_bound(g.adj, v)
+                s1 = spectral_radius_bound(g, v)
                 assert type(s1) is float
                 assert dense - 1e-12 * max(dense, 1.0) <= s1
                 assert s1 <= a.sum(axis=1).max() * (1 + 1e-12)
@@ -326,8 +365,8 @@ class TestSpectral:
         u, v = map(list, zip(*[(a, b) for a in range(4) for b in range(a + 1, 4)]))
         g = WeightedGraph.from_edges(7, u + [4], v + [5])
         on_edge = np.array([0, 0, 0, 0, 1, 1, 0]) / np.sqrt(2)
-        assert spectral_radius_bound(g.adj, on_edge) == 3.0
-        assert spectral_radius_bound(g.adj, g.eigenpair[1]) == \
+        assert spectral_radius_bound(g, on_edge) == 3.0
+        assert spectral_radius_bound(g, g.eigenpair[1]) == \
             pytest.approx(3.0, rel=1e-12)
 
     def test_unit_weight_degrees_are_row_lengths(self, rng):
@@ -335,9 +374,14 @@ class TestSpectral:
         for i in range(20):
             g = random_graph(rng, int(rng.integers(1, 40)), weighted=False,
                              p=float(rng.uniform(0.05, 0.9)))
+            row_sums = WeightedGraph(adj=g.adj, w_max=g.w_max)
+            row_sums.__dict__["unit_weights"] = False
+            assert g.unit_weights == (g.m > 0)
+            assert np.array_equal(g.degrees, row_sums.degrees)
+            assert g.degrees.dtype.kind == ("i" if g.m else "f")
             for v in (g.eigenpair[1], rng.standard_normal(g.n)):
-                assert spectral_radius_bound(g.adj, v, unit_weights=True) \
-                    == spectral_radius_bound(g.adj, v)
+                assert spectral_radius_bound(g, v) \
+                    == spectral_radius_bound(row_sums, v)
 
 
 def upper_bound_reference(graph, spec):
@@ -349,7 +393,7 @@ def upper_bound_reference(graph, spec):
     validate(spec, graph)
     k, w_max = spec.k, graph.w_max
     eig1, v1, residual = graph.eigenpair
-    sigma1 = spectral_radius_bound(graph.adj, v1)
+    sigma1 = spectral_radius_bound(graph, v1)
     sigma2 = second_singular_value(graph.adj, eig1, v1)
     degenerate = (sigma1 - sigma2) < DEGENERATE_GAP * max(sigma1, 1e-300)
     sigma2_eff = sigma2 + DEGENERATE_GAP * sigma1 if degenerate else sigma2
@@ -364,23 +408,29 @@ def upper_bound_reference(graph, spec):
             "degenerate_spectrum": degenerate, "power_residual": residual}
 
 
+def near_rank_one(n, seed, scale, k):
+    """The complete graph on n vertices weighted scale*u_i*u_j, u seeded,
+    with one group and no minimum."""
+    u = np.random.default_rng(seed).uniform(0.05, 1.0, n) ** 0.5
+    iu, iv = np.triu_indices(n, k=1)
+    g = WeightedGraph.from_edges(n, iu, iv, scale * u[iu] * u[iv])
+    attr = AttributeAssignment.from_labels(np.zeros(n, dtype=np.int64))
+    return g, ConstraintSpec(k=k, mins=(0,), attr=attr)
+
+
 @st.composite
 def near_rank_one_instances(draw):
-    """Complete graphs weighted scale*u_i*u_j, with k about half of n.
+    """``near_rank_one`` graphs, with k about half of n.
 
     A is then close to rank one, so sigma_2 is small and the rank-1 term
     decides the bound on about a tenth of them; on ``small_instances`` it
     rarely does. The scale moves w_max, which the bound divides out.
     """
     n = draw(st.integers(min_value=6, max_value=16))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    u = rng.uniform(0.05, 1.0, n) ** 0.5
+    seed = draw(st.integers(0, 2**32 - 1))
     scale = draw(st.sampled_from([0.5, 1.0, 4.0, 100.0]))
-    iu, iv = np.triu_indices(n, k=1)
-    g = WeightedGraph.from_edges(n, iu, iv, scale * u[iu] * u[iv])
-    attr = AttributeAssignment.from_labels(np.zeros(n, dtype=np.int64))
     k = draw(st.integers(min_value=round(0.4 * n), max_value=round(0.75 * n)))
-    return g, ConstraintSpec(k=k, mins=(0,), attr=attr)
+    return near_rank_one(n, seed, scale, k)
 
 
 class TestUpperBoundAgainstReference:
@@ -400,30 +450,40 @@ class TestUpperBoundAgainstReference:
 
     def test_bound_alone_skips_the_full_sigma2(self, monkeypatch):
         # The eigenpair's sigma2_floor already puts the rank-1 term above
-        # min(1, term_sigma1), so the bound takes no sigma_2 step; the
-        # record then runs sigma_2 once, from its seeded start.
+        # min(1, term_sigma1), so the bound runs no sigma_2; the record
+        # then runs sigma_2 once.
         cfg = PlantedCliqueConfig(n=2000, p=0.02, k=12, r=3, seed=1)
         g, attr, _ = generate_planted_clique(cfg)
         spec = ConstraintSpec(k=12, mins=(4, 4, 4), attr=attr)
         ref = upper_bound_reference(g, spec)
-        run = spectral._lanczos_sigma2
-        full = list(run(g.adj, *g.eigenpair[:2]))
-        steps = []
-
-        def counting_run(*args):
-            for step in run(*args):
-                steps.append(step)
-                yield step
-
-        for mod in (metrics, spectral):
-            monkeypatch.setattr(mod, "_lanczos_sigma2", counting_run)
+        calls = counting(monkeypatch, spectral._lanczos_sigma2, metrics,
+                         spectral)
         rep = upper_bound(g, spec)
         assert rep.bound == min(1.0, rep.term_sigma1)
-        assert steps == []
+        assert calls == []
         assert rep.to_dict() == ref
-        assert steps == full
+        assert len(calls) == 1
         rep.to_dict()
-        assert steps == full
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n, seed, k, rank1_decides", [
+        (9, 1, 6, True), (10, 27, 6, False)])
+    def test_open_floor_runs_sigma2_once(self, monkeypatch, n, seed, k,
+                                         rank1_decides):
+        # sigma2_floor leaves the bound open, so the bound runs sigma_2 to
+        # convergence, and the record reuses it.
+        g, spec = near_rank_one(n, seed, 1.0, k)
+        ref = upper_bound_reference(g, spec)
+        calls = counting(monkeypatch, spectral._lanczos_sigma2, metrics,
+                         spectral)
+        rep = upper_bound(g, spec)
+        cap = min(1.0, rep.term_sigma1)
+        assert len(calls) == 1
+        assert (rep.bound < cap) == rank1_decides
+        assert rep.bound == ref["bound"]
+        assert rep.to_dict() == ref
+        rep.to_dict()
+        assert len(calls) == 1
 
     def test_capped_sigma2_run_warns(self, monkeypatch):
         # the bound settles after one Lanczos step; sigma_2 needs eight
