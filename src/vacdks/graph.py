@@ -67,14 +67,15 @@ class WeightedGraph:
         # Reductions, not an nnz-sized mask: adj.data has 25M entries at 50k.
         return bool(self.w_max == 1.0 and self.adj.data.min() == 1.0)
 
-    @property
+    @functools.cached_property
     def degrees(self) -> np.ndarray:
-        """Weighted degrees, a new array per read: the row lengths on unit
-        weights, read without a pass over ``adj.data``, the row sums
-        otherwise."""
-        if self.unit_weights:
-            return np.diff(self.adj.indptr)
-        return np.asarray(self.adj.sum(axis=1)).ravel()
+        """Weighted degrees, computed once per graph and read-only: the row
+        lengths on unit weights, read without a pass over ``adj.data``, the
+        row sums otherwise."""
+        degrees = (np.diff(self.adj.indptr) if self.unit_weights
+                   else np.asarray(self.adj.sum(axis=1)).ravel())
+        degrees.flags.writeable = False
+        return degrees
 
     @classmethod
     def from_edges(cls, n, u, v, w=None) -> "WeightedGraph":
@@ -278,8 +279,9 @@ def load_edge_list(path, unweighted_default=False, n=None) -> WeightedGraph:
     (written by :func:`save_edge_list`) is the vertex count, so isolated
     trailing vertices survive a round trip; with one, the count may not
     exceed ``n``. Every "# n" line of a file gives the same count. With
-    neither, ids stay below 2**31 - 1, so that one stray id cannot size the
-    graph. Comments take a whole line: "#" inside an edge line is an error.
+    neither, the largest id + 1, at most max(2m, 2**20) for m edges, is the
+    count, so that one stray id cannot size the graph past its edges.
+    Comments take a whole line: "#" inside an edge line is an error.
     Malformed input raises :class:`GraphFormatError` naming the first bad
     line, or only the file when it is not UTF-8 text.
 
@@ -386,28 +388,31 @@ def load_edge_list(path, unweighted_default=False, n=None) -> WeightedGraph:
         raise GraphFormatError(f"{path}: not UTF-8 text") from exc
     if count is None:
         count = max((max(us, default=-1), max(vs, default=-1))) + 1
-        if count > _MAX_IMPLIED_N:
+        cap = _implied_count_cap(len(us))
+        if count > cap:
             top, at = next((key[1], at) for key, at in seen.items()
-                           if key[1] >= _MAX_IMPLIED_N)
+                           if key[1] >= cap)
             raise GraphFormatError(
                 f"{path}:{at}: vertex id {top} too large for an edge list "
-                f"without a vertex count (ids stay below {_MAX_IMPLIED_N}; "
-                "give n or a '# n' line)")
+                f"without a vertex count (ids stay below max(2m, 2**20) = "
+                f"{cap}, m = {len(us)} edges; give n or a '# n' line)")
     return WeightedGraph.from_edges(count, us, vs, ws)
 
 
 # The largest vertex count: n, and so every id + 1, must fit in an int64.
 _MAX_N = np.iinfo(np.int64).max
-# The largest vertex count the ids of a file without one may imply: one
-# stray id would otherwise size the graph, and below it the CSR and the
-# parsed ids are int32.
-_MAX_IMPLIED_N = np.iinfo(np.int32).max
 
 
-def _edge_row_dtype(ncols, limit):
+def _implied_count_cap(m):
+    """The most vertices the ids of ``m`` edges may imply without a count."""
+    return max(2 * m, 1 << 20)
+
+
+def _edge_row_dtype(ncols, count):
     """The record of an edge line: "u v" or "u v w", with int32 ids when
-    every id below ``limit`` fits, else int64."""
-    ids = np.int32 if limit <= np.iinfo(np.int32).max else np.int64
+    the vertex count fits or is not known, else int64."""
+    fits = count is None or count <= np.iinfo(np.int32).max
+    ids = np.int32 if fits else np.int64
     fields = [("u", ids), ("v", ids), ("w", np.float64)]
     return np.dtype(fields[:ncols])
 
@@ -440,9 +445,9 @@ def _numpy_parse(path, lineno, ncols, unweighted_default, count):
     Takes a regular file when every line from ``lineno`` on is an edge line
     with ``ncols`` columns, the column count of line ``lineno``; the graph
     has ``count`` vertices, or one more than its largest id when ``count``
-    is None (at most ``_MAX_IMPLIED_N``). numpy's C reader parses the rows
-    and ``from_edges``'s steps run every check, ids below the vertex count
-    too.
+    is None (at most :func:`_implied_count_cap`, and the ids are then
+    parsed as int32). numpy's C reader parses the rows and ``from_edges``'s
+    steps run every check, ids below the vertex count too.
     Anything either rejects returns None, so that the line loop reports the
     first bad line with its number and the exact message. The parsed rows
     are freed before the upper triangle is built.
@@ -454,35 +459,34 @@ def _numpy_parse(path, lineno, ncols, unweighted_default, count):
             or not os.path.isfile(name) or name.endswith(_COMPRESSED_SUFFIXES)
             or not (ncols == 3 or (ncols == 2 and unweighted_default))):
         return None
-    limit = _MAX_IMPLIED_N if count is None else count
     try:
         # Given a file name (not a buffer), loadtxt reads in large chunks
         # through a universal-newline text layer, like the line loop. An
         # absolute name is never taken for a URL.
         rows = np.loadtxt(os.path.abspath(name),
-                          dtype=_edge_row_dtype(ncols, limit), comments=None,
+                          dtype=_edge_row_dtype(ncols, count), comments=None,
                           skiprows=lineno - 1, encoding="ascii", ndmin=1)
     except (ValueError, OSError):
         return None
     u, v = rows["u"], rows["v"]
-    n_final = (count if count is not None
-               else max(int(u.max()), int(v.max())) + 1)
-    if n_final > limit:
-        return None
+    if count is None:
+        count = max(int(u.max()), int(v.max())) + 1
+        if count > _implied_count_cap(len(rows)):
+            return None
     try:
         # The checks read the record fields in place; what they return
         # holds nothing of the rows.
         edges, w_max = _checked_edges(
-            n_final, u, v, rows["w"] if ncols == 3 else None)
+            count, u, v, rows["w"] if ncols == 3 else None)
         del rows, u, v
-        return WeightedGraph(adj=_symmetric_csr(n_final, edges, w_max),
+        return WeightedGraph(adj=_symmetric_csr(count, edges, w_max),
                              w_max=w_max)
     except ValueError:
         return None
 
 
 # Lines per block of text the writers build.
-_WRITE_CHUNK = 1 << 18
+_WRITE_CHUNK = 1 << 16
 
 
 def _digit_cells(x, top):

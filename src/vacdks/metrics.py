@@ -23,10 +23,10 @@ DEGENERATE_GAP = 1e-6
 class BoundReport:
     """Three-term upper bound on the optimal normalized edge weight.
 
-    ``term_rank1``, ``sigma2`` and ``degenerate_spectrum`` are resolved on
-    first read and cached: when a lower estimate of sigma_2 settled
-    ``bound``, sigma_2's run has not started, and the first read of them,
-    ``to_dict`` or ``==`` runs it once.
+    ``term_rank1``, ``sigma2`` and ``degenerate_spectrum`` come from
+    ``_rank1``, which runs sigma_2 once, on its first call: when a lower
+    estimate of sigma_2 settled ``bound``, the first read of them, or
+    ``to_dict``, makes that call. Reports compare through ``to_dict``.
     """
 
     term_trivial: float
@@ -35,37 +35,26 @@ class BoundReport:
     sigma1: float
     bilinear_value: float
     power_residual: float
-    # () -> (term_rank1, sigma2, degenerate_spectrum)
+    # () -> (term_rank1, sigma2, degenerate_spectrum), cached
     _rank1: Callable = field(repr=False)
-
-    @functools.cached_property
-    def _resolved(self):
-        return self._rank1()
 
     @property
     def term_rank1(self) -> float:
-        return self._resolved[0]
+        return self._rank1()[0]
 
     @property
     def sigma2(self) -> float:
-        return self._resolved[1]
+        return self._rank1()[1]
 
     @property
     def degenerate_spectrum(self) -> bool:
-        return self._resolved[2]
+        return self._rank1()[2]
 
     def to_dict(self):
         return {name: getattr(self, name) for name in (
             "term_trivial", "term_rank1", "term_sigma1", "bound", "sigma1",
             "sigma2", "bilinear_value", "degenerate_spectrum",
             "power_residual")}
-
-    def __eq__(self, other):
-        if not isinstance(other, BoundReport):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
-    __hash__ = None
 
 
 def normalized_edge_weight(graph: WeightedGraph, s, weight=None) -> float:
@@ -117,7 +106,8 @@ def upper_bound(graph: WeightedGraph, spec: ConstraintSpec) -> BoundReport:
     that cap. The graph's ``sigma2_floor``, from the eigenpair's own
     Lanczos run, is such an estimate: when it settles the bound, sigma_2's
     run is left to the first report field that needs it. Otherwise sigma_2
-    is run to convergence here and the report keeps it.
+    is run to convergence here. One cached call makes that run, so a report
+    runs sigma_2 at most once.
     """
     validate(spec, graph)
     k = spec.k
@@ -141,10 +131,11 @@ def upper_bound(graph: WeightedGraph, spec: ConstraintSpec) -> BoundReport:
                 + sigma2_eff / (w_max * (k - 1)))
         return term, sigma2, degenerate
 
-    if rank1(graph.sigma2_floor)[0] > cap:
-        return BoundReport(
-            1.0, term_sigma1, cap, sigma1, bilinear_value, residual,
-            lambda: rank1(_lanczos_sigma2(graph.adj, eig1, v1)))
-    resolved = rank1(_lanczos_sigma2(graph.adj, eig1, v1))
-    return BoundReport(1.0, term_sigma1, min(cap, resolved[0]), sigma1,
-                       bilinear_value, residual, lambda: resolved)
+    @functools.cache
+    def resolved():
+        return rank1(_lanczos_sigma2(graph.adj, eig1, v1))
+
+    bound = (cap if rank1(graph.sigma2_floor)[0] > cap
+             else min(cap, resolved()[0]))
+    return BoundReport(1.0, term_sigma1, bound, sigma1, bilinear_value,
+                       residual, resolved)

@@ -36,6 +36,11 @@ EIG_MAX_ITERS, EIG_TOL, EIG_BASIS = 10_000, 1e-8, 20
 SIGMA2_MAX_STEPS, SIGMA2_TOL = 300, 1e-10
 
 
+def _ritz_pairs(a, b):
+    """Ascending eigenpairs of T_j: diagonal ``a``, off-diagonal ``b``."""
+    return np.linalg.eigh(np.diag(a) + np.diag(b, 1) + np.diag(b, -1))
+
+
 def _lanczos_top(adj, shift):
     """Lanczos on A with full reorthogonalization from the all-ones start.
 
@@ -63,8 +68,7 @@ def _lanczos_top(adj, shift):
             for _ in range(2):
                 w -= basis[:j + 1].T @ (basis[:j + 1] @ w)
             beta = float(np.linalg.norm(w))
-            theta, y = np.linalg.eigh(
-                np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+            theta, y = _ritz_pairs(alphas, betas)
             done = (beta * abs(y[-1, -1])
                     <= EIG_TOL * max(abs(theta[-1] + shift), 1.0))
             if done or steps >= EIG_MAX_ITERS:
@@ -166,8 +170,7 @@ def _lanczos_sigma2(adj, eig1, v1):
         alphas.append(float(q @ w))
         w -= alphas[-1] * q
         beta = float(np.linalg.norm(w))
-        t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-        theta, y = np.linalg.eigh(t)
+        theta, y = _ritz_pairs(alphas, betas)
         ends = np.abs(theta[[0, -1]])
         padded = float(np.max(ends + beta * np.abs(y[-1, [0, -1]])))
         if padded <= (1.0 + SIGMA2_TOL) * float(ends.max()):

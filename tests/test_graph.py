@@ -130,6 +130,23 @@ class TestLoadEdgeList:
                            "too large for n=3"):
             load_edge_list(path, n=3)
 
+    def test_implied_count_stays_near_the_edge_count(self, tmp_path):
+        """Without n or a "# n" line the ids imply at most max(2m, 2**20)
+        vertices for m edges: a stray id fails at its line, and no array is
+        sized from it (here it would ask for an 8 GiB indptr)."""
+        path = write(tmp_path, "0 1 1.0\n2 2147483646 1.0\n")
+        assert graph_module._numpy_parse(path, 1, 3, False, None) is None
+        with pytest.raises(GraphFormatError, match=(
+                r":2: vertex id 2147483646 too large for an edge list without "
+                r"a vertex count \(ids stay below max\(2m, 2\*\*20\) = "
+                r"1048576, m = 2 edges")):
+            load_edge_list(path)
+        # At the cap itself the ids load.
+        g = load_edge_list(write(tmp_path, "0 1 1.0\n2 1048575 1.0\n"))
+        assert (g.n, g.m) == (1 << 20, 2)
+        with pytest.raises(GraphFormatError, match=":2: vertex id 1048576 "):
+            load_edge_list(write(tmp_path, "0 1 1.0\n2 1048576 1.0\n"))
+
     @pytest.mark.parametrize("text, message", [
         ("# n 1\n0 1 1.0\n", ":2: vertex id 1 too large for n=1"),
         ("0 5 1.0\n1 2 1.0\n# n 3\n", ":1: vertex id 5 too large for n=3"),
@@ -700,8 +717,9 @@ class TestBuildMemory:
     @pytest.mark.parametrize("weighted", [False, True])
     def test_save_edge_list_peak(self, tmp_path, weighted):
         """With 2**14-line blocks a block's edges and text are small beside
-        this graph (at 2**18 lines they trace 1.7x its CSR), so the peak
-        shows whether the writer decodes a block or the whole graph."""
+        this graph (at 2**18 lines they traced 1.7x its CSR unweighted and
+        3.7x weighted), so the peak shows whether the writer decodes a block
+        or the whole graph."""
         cfg = PlantedCliqueConfig(n=3000, p=0.1, k=30, r=3, seed=1,
                                   weighted=weighted)
         graph = generate_planted_clique(cfg)[0]
@@ -710,6 +728,18 @@ class TestBuildMemory:
             _, peak = traced_peak(
                 lambda: save_edge_list(graph, tmp_path / "edges.tsv"))
         assert peak <= 0.5 * csr_bytes(graph)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_save_edge_list_peak_at_the_default_block(self, tmp_path,
+                                                     weighted):
+        """At the default block size the writer holds at most about the
+        CSR's bytes besides the graph, for drawn weights too."""
+        cfg = PlantedCliqueConfig(n=3000, p=0.1, k=30, r=3, seed=1,
+                                  weighted=weighted)
+        graph = generate_planted_clique(cfg)[0]
+        _, peak = traced_peak(
+            lambda: save_edge_list(graph, tmp_path / "edges.tsv"))
+        assert peak <= 1.2 * csr_bytes(graph)
 
 
 def edge_arrays_reference(g):

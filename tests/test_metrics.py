@@ -554,7 +554,8 @@ class TestUpperBound:
     def test_unit_weights_decided_once_without_row_sums(self, rng,
                                                         monkeypatch):
         """On unit weights neither the bound's degrees nor the peel's keys
-        take a row sum, and the graph keeps its one unit-weight check."""
+        take a row sum, and the graph keeps its one unit-weight check. On
+        other weights the peels and the bound share one row sum."""
         g = random_graph(rng, 30, weighted=False, min_edges=3)
         spec = random_spec(rng, 30, k_min=2)
         ref = upper_bound(WeightedGraph(adj=g.adj, w_max=g.w_max), spec)
@@ -566,13 +567,15 @@ class TestUpperBound:
             return row_sum(self, *args, **kwargs)
 
         monkeypatch.setattr(type(g.adj), "sum", counted)
-        assert upper_bound(g, spec) == ref
+        assert upper_bound(g, spec).to_dict() == ref.to_dict()
         greedy_peel(g, spec)
         assert sums == [] and g.__dict__["unit_weights"] is True
         heavy = WeightedGraph(adj=2.0 * g.adj, w_max=2.0)
         assert not heavy.unit_weights
         greedy_peel(heavy, spec)
-        assert len(sums) == 1
+        upper_bound(heavy, spec)
+        greedy_peel(heavy, spec)
+        assert len(sums) == 1 and not heavy.degrees.flags.writeable
 
     def test_bound_computes_no_induced_weight(self, rng, monkeypatch):
         """The bound takes the bilinear value alone, not LRBO's reported
@@ -610,7 +613,8 @@ def all_methods(graph_for, spec):
     lrbo_sel, _, bilinear_value = lrbo_rank1(graph_for(), spec)
     return (fw_sel.tolist(), fw_trace.iterations, fw_trace.objective,
             warm_sel.tolist(), warm_trace.iterations, warm_trace.objective,
-            lrbo_sel.tolist(), bilinear_value, upper_bound(graph_for(), spec))
+            lrbo_sel.tolist(), bilinear_value,
+            upper_bound(graph_for(), spec).to_dict())
 
 
 class TestSharedEigenpair:
