@@ -337,7 +337,6 @@ def load_edge_list(path, unweighted_default=False, n=None) -> WeightedGraph:
                                          unweighted_default, count)
                     if graph is not None:
                         return graph
-                limit = _MAX_N if count is None else count
                 if len(parts) not in (2, 3):
                     raise GraphFormatError(
                         f"{path}:{lineno}: expected 'u v' or 'u v w', "
@@ -350,10 +349,12 @@ def load_edge_list(path, unweighted_default=False, n=None) -> WeightedGraph:
                 if u < 0 or v < 0:
                     raise GraphFormatError(
                         f"{path}:{lineno}: negative vertex id")
-                if max(u, v) >= limit:
+                # Without a count yet, a "# n" line below or the implied
+                # count at the end bounds the id.
+                if count is not None and max(u, v) >= count:
                     raise GraphFormatError(
                         f"{path}:{lineno}: vertex id {max(u, v)} too large "
-                        f"for n={limit}")
+                        f"for n={count}")
                 if u == v:
                     raise GraphFormatError(
                         f"{path}:{lineno}: self-loop on vertex {u}")
