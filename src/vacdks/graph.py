@@ -7,6 +7,7 @@ import io
 import math
 import numbers
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +45,12 @@ class WeightedGraph:
     @functools.cached_property
     def _spectrum(self):
         """``dominant_eigenpair(adj, w_max)``, computed once on first use."""
-        eig1, v1, residual, sigma2_floor = dominant_eigenpair(self.adj,
-                                                              self.w_max)
+        eig1, v1, residual, sigma2_floor, abs_product = dominant_eigenpair(
+            self.adj, self.w_max)
         v1.flags.writeable = False  # shared by every solver run on the graph
-        return (eig1, v1, residual), sigma2_floor
+        if abs_product is not None:
+            abs_product.flags.writeable = False
+        return (eig1, v1, residual), sigma2_floor, abs_product
 
     @property
     def eigenpair(self):
@@ -59,6 +62,12 @@ class WeightedGraph:
         """A lower estimate of ||A - eig1*v1*v1^T||, from the eigenpair's
         Lanczos run at no extra product."""
         return self._spectrum[1]
+
+    @property
+    def eigen_abs_product(self):
+        """A|v1| from the eigenpair's checking product, or None where v1
+        has entries of both signs."""
+        return self._spectrum[2]
 
     @functools.cached_property
     def unit_weights(self) -> bool:
@@ -280,8 +289,10 @@ def load_edge_list(path, unweighted_default=False, n=None) -> WeightedGraph:
     trailing vertices survive a round trip; with one, the count may not
     exceed ``n``. Every "# n" line of a file gives the same count. With
     neither, the largest id + 1, at most max(2m, 2**20) for m edges, is the
-    count, so that one stray id cannot size the graph past its edges.
-    Comments take a whole line: "#" inside an edge line is an error.
+    count, so that one stray id cannot size the graph past its edges; where
+    a later line fails before any count is read, the m edges read so far
+    set that cap. Comments take a whole line: "#" inside an edge line is an
+    error.
     Malformed input raises :class:`GraphFormatError` naming the first bad
     line, or only the file when it is not UTF-8 text.
 
@@ -387,16 +398,17 @@ def load_edge_list(path, unweighted_default=False, n=None) -> WeightedGraph:
                 ws.append(w)
     except UnicodeDecodeError as exc:
         raise GraphFormatError(f"{path}: not UTF-8 text") from exc
+    except GraphFormatError:
+        # Without a count, an id read so far past the implied count of the
+        # edges read so far is the first bad line.
+        earlier = count is None and _implied_count_error(path, len(us), seen)
+        if earlier:
+            raise earlier from None
+        raise
     if count is None:
         count = max((max(us, default=-1), max(vs, default=-1))) + 1
-        cap = _implied_count_cap(len(us))
-        if count > cap:
-            top, at = next((key[1], at) for key, at in seen.items()
-                           if key[1] >= cap)
-            raise GraphFormatError(
-                f"{path}:{at}: vertex id {top} too large for an edge list "
-                f"without a vertex count (ids stay below max(2m, 2**20) = "
-                f"{cap}, m = {len(us)} edges; give n or a '# n' line)")
+        if count > _implied_count_cap(len(us)):
+            raise _implied_count_error(path, len(us), seen)
     return WeightedGraph.from_edges(count, us, vs, ws)
 
 
@@ -407,6 +419,20 @@ _MAX_N = np.iinfo(np.int64).max
 def _implied_count_cap(m):
     """The most vertices the ids of ``m`` edges may imply without a count."""
     return max(2 * m, 1 << 20)
+
+
+def _implied_count_error(path, m, seen):
+    """The error of the first edge line in ``seen`` (edge -> line number)
+    whose larger id is at or past the implied count cap of ``m`` edges, or
+    None."""
+    cap = _implied_count_cap(m)
+    for (_, top), at in seen.items():
+        if top >= cap:
+            return GraphFormatError(
+                f"{path}:{at}: vertex id {top} too large for an edge list "
+                f"without a vertex count (ids stay below max(2m, 2**20) = "
+                f"{cap}, m = {m} edges; give n or a '# n' line)")
+    return None
 
 
 def _edge_row_dtype(ncols, count):
@@ -422,24 +448,6 @@ def _edge_row_dtype(ncols, count):
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
-def _loadtxt_rejects_float_ids():
-    """Whether np.loadtxt refuses "1.0" for an integer field, as int() does.
-
-    Some numpy releases read it as 1 with a DeprecationWarning; there numpy
-    would accept ids the line loop rejects, so :func:`_numpy_parse` stays off.
-    """
-    try:
-        np.loadtxt(["1.0"], dtype=np.int64)
-    except ValueError:
-        return True
-    except Warning:  # the DeprecationWarning, under an "error" filter
-        pass
-    return False
-
-
-_FAST_PATH_AVAILABLE = _loadtxt_rejects_float_ids()
-
-
 def _numpy_parse(path, lineno, ncols, unweighted_default, count):
     """The graph of the edge lines from ``lineno`` on, or None to decline.
 
@@ -452,22 +460,32 @@ def _numpy_parse(path, lineno, ncols, unweighted_default, count):
     Anything either rejects returns None, so that the line loop reports the
     first bad line with its number and the exact message. The parsed rows
     are freed before the upper triangle is built.
+
+    Some numpy releases read "1.0" in an integer field as 1 with a
+    DeprecationWarning, where ``int()`` refuses it; that warning is made an
+    error for the one ``loadtxt`` call, so such a file is declined too.
+    ``warnings.catch_warnings`` swaps the process-wide filter list, which a
+    concurrent thread would see: the package starts no threads, and
+    ``bench`` runs each solve in its own process.
     """
     name = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
     # The file is opened a second time, which a pipe does not survive, and
     # loadtxt picks a decompressor from a name's suffix.
-    if (not _FAST_PATH_AVAILABLE or not isinstance(name, str)
-            or not os.path.isfile(name) or name.endswith(_COMPRESSED_SUFFIXES)
+    if (not isinstance(name, str) or not os.path.isfile(name)
+            or name.endswith(_COMPRESSED_SUFFIXES)
             or not (ncols == 3 or (ncols == 2 and unweighted_default))):
         return None
     try:
-        # Given a file name (not a buffer), loadtxt reads in large chunks
-        # through a universal-newline text layer, like the line loop. An
-        # absolute name is never taken for a URL.
-        rows = np.loadtxt(os.path.abspath(name),
-                          dtype=_edge_row_dtype(ncols, count), comments=None,
-                          skiprows=lineno - 1, encoding="ascii", ndmin=1)
-    except (ValueError, OSError):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            # Given a file name (not a buffer), loadtxt reads in large chunks
+            # through a universal-newline text layer, like the line loop. An
+            # absolute name is never taken for a URL.
+            rows = np.loadtxt(os.path.abspath(name),
+                              dtype=_edge_row_dtype(ncols, count),
+                              comments=None, skiprows=lineno - 1,
+                              encoding="ascii", ndmin=1)
+    except (ValueError, OSError, DeprecationWarning):
         return None
     u, v = rows["u"], rows["v"]
     if count is None:

@@ -119,7 +119,7 @@ def upper_bound(graph: WeightedGraph, spec: ConstraintSpec) -> BoundReport:
 
     w_max = graph.w_max
     eig1, v1, residual = graph.eigenpair
-    sigma1 = spectral_radius_bound(graph, v1)
+    sigma1 = spectral_radius_bound(graph, v1, graph.eigen_abs_product)
     bilinear_value = max(c[2] for c in _bilinear_candidates(graph, spec))
     term_sigma1 = sigma1 / (w_max * (k - 1))
     cap = min(1.0, term_sigma1)

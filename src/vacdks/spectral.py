@@ -102,15 +102,23 @@ def dominant_eigenpair(adj, w_max):
     theta_2 <= lambda_2(A) and theta_min >= lambda_n(A), and for any
     eig1 >= 0 and unit v1, M = A - eig1*v1*v1^T has lambda_1(M) >=
     lambda_2(A) and lambda_n(M) <= lambda_n(A) (Weyl), so sigma2_floor <=
-    ||M||. Returns (eigenvalue, unit_vector, residual, sigma2_floor).
+    ||M||.
+
+    The checking product's unshifted half A*v1 also gives A|v1| when v1 is
+    single-signed: A*v1 itself, or 0 - A*v1 (which keeps zeros at +0.0),
+    bit for bit. Returns (eigenvalue, unit_vector, residual, sigma2_floor,
+    abs_product), with ``abs_product`` that A|v1|, or None for a mixed-sign
+    v1.
     """
     n = adj.shape[0]
     if n == 0:
-        return 0.0, np.zeros(0), 0.0, 0.0
+        return 0.0, np.zeros(0), 0.0, 0.0, np.zeros(0)
     shift = max(w_max, 1e-12)
+    products = []
 
     def shifted(v):
-        return adj @ v + shift * v
+        products.append(adj @ v)
+        return products[-1] + shift * v
 
     theta, ritz, steps = _lanczos_top(adj, shift)
     if ritz @ np.random.default_rng(0).standard_normal(n) < 0:
@@ -123,23 +131,26 @@ def dominant_eigenpair(adj, w_max):
             RuntimeWarning, stacklevel=2)
     floor = max(float(theta[-2]) if len(theta) > 1 else 0.0,
                 -float(theta[0]), 0.0)
-    return ray - shift, vec, residual, floor
+    abs_product = (products[-1] if (vec >= 0).all()
+                   else 0.0 - products[-1] if (vec <= 0).all() else None)
+    return ray - shift, vec, residual, floor, abs_product
 
 
-def spectral_radius_bound(graph, v):
+def spectral_radius_bound(graph, v, abs_product=None):
     """Upper bound on the spectral radius of a non-negative symmetric matrix.
 
     The smaller of the largest weighted degree and the Collatz-Wielandt
     ratio max_i (A|v|)_i / |v|_i, both valid for any non-negative A; the
-    ratio costs one matvec and is tight when v is the Perron vector. A row
-    with |v|_i = 0 counts as 0 when it is empty and as +inf otherwise (a
-    component on which v vanishes may carry the spectral radius), so the
-    degree bound then decides. ``graph`` is a ``WeightedGraph``, whose
-    stored weights are positive: a row is empty iff its degree is 0.
+    ratio costs one matvec, none when ``abs_product`` gives A|v|, and is
+    tight when v is the Perron vector. A row with |v|_i = 0 counts as 0
+    when it is empty and as +inf otherwise (a component on which v
+    vanishes may carry the spectral radius), so the degree bound then
+    decides. ``graph`` is a ``WeightedGraph``, whose stored weights are
+    positive: a row is empty iff its degree is 0.
     """
     degree = graph.degrees
     x = np.abs(v)
-    ax = graph.adj @ x
+    ax = graph.adj @ x if abs_product is None else abs_product
     ratio = np.divide(ax, x, out=np.full(len(x), np.inf), where=x > 0)
     ratio[degree == 0] = 0.0
     return float(min(ratio.max(initial=0.0), degree.max(initial=0.0)))

@@ -304,7 +304,7 @@ def _peel_unconstrained(graph, k):
 
 def _lrbo_unconstrained(graph, k):
     a = graph.adj.toarray()
-    eig1, v1, _, _ = dominant_eigenpair(graph.adj, graph.w_max)
+    eig1, v1, _, _, _ = dominant_eigenpair(graph.adj, graph.w_max)
     best = None
     for sign in (1.0, -1.0):
         xs = _top_k(sign * v1, k)

@@ -4,13 +4,16 @@
 hands the rest of a regular file to ``_numpy_parse``, once; where numpy
 declines, the loop reads on from that same line. These properties check, on
 generated files, that the public loader accepts exactly what the line loop
-alone accepts (``_FAST_PATH_AVAILABLE`` patched to False), builds the same
-CSR arrays, and otherwise raises the same ``GraphFormatError`` text.
+alone accepts (``_numpy_parse`` patched to decline every file), builds the
+same CSR arrays, and otherwise raises the same ``GraphFormatError`` text.
+A numpy whose ``loadtxt`` reads "1.0" as an integer id, with a
+DeprecationWarning, declines that one file; a stub stands in for it.
 """
 
 import contextlib
 import os
 import threading
+import warnings
 import weakref
 from unittest import mock
 
@@ -105,7 +108,7 @@ def assert_same_graph(g1, g2):
 
 def load_reference(path, unweighted_default=False, n=None):
     """``load_edge_list`` with the numpy parse off: the line loop alone."""
-    with mock.patch.object(graph_module, "_FAST_PATH_AVAILABLE", False):
+    with mock.patch.object(graph_module, "_numpy_parse", lambda *args: None):
         return load_edge_list(path, unweighted_default, n)
 
 
@@ -340,7 +343,7 @@ def test_constant_weight_files_match_reference(tmp_path, weight, n):
     path.write_text("# n 302\n" + "".join(
         f"{a} {b} {weight}\n" for a, b in zip(u.tolist(), v.tolist())))
     ref, fast = check_against_reference(path, False, n)
-    assert (fast is not None) == graph_module._FAST_PATH_AVAILABLE
+    assert fast is not None
     assert ref[0] == "graph"
     graph = ref[1]
     assert graph.n == 302 and graph.w_max == float(weight)
@@ -464,11 +467,62 @@ def test_named_pipe_is_read_once(tmp_path):
     assert_same_graph(result["graph"], load_reference(plain))
 
 
-def test_lenient_numpy_turns_fast_path_off(tmp_path, monkeypatch):
-    """Where loadtxt reads "1.0" as an integer, only the line loop runs."""
-    monkeypatch.setattr(graph_module, "_FAST_PATH_AVAILABLE", False)
+REAL_LOADTXT = np.loadtxt
+
+
+def lenient_loadtxt(fname, dtype, **kwargs):
+    """``np.loadtxt`` as numpy 1.23 to 1.26 run it: an integer field
+    written as a float ("1.0") is read as that integer, with a
+    DeprecationWarning."""
+    with open(fname, encoding="ascii") as fh:
+        lines = fh.read().splitlines()[kwargs["skiprows"]:]
+    if any(not tok.isdigit() for line in lines for tok in line.split()[:2]):
+        warnings.warn("loadtxt(): Parsing an integer via a float is "
+                      "deprecated.", DeprecationWarning, stacklevel=2)
+    floats = REAL_LOADTXT(fname, dtype=[(f, np.float64) for f in dtype.names],
+                          **kwargs)
+    return floats.astype(dtype)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("0 1 1.0\n1 2 1.0\n", None),
+    ("0 1 1.0\n1.0 2 1.0\n", ":2: non-integer vertex id"),
+    ("0 1 1.0\n1 2e0 1.0\n", ":2: non-integer vertex id"),
+], ids=["integer-ids", "float-id", "exponent-id"])
+def test_lenient_numpy_declines_per_file(tmp_path, monkeypatch, text, error):
+    """Where loadtxt reads "1.0" as an integer id with a DeprecationWarning,
+    numpy declines that file, and the line loop rejects it with its own
+    message; a file of integer ids still takes the numpy reader. The
+    warning reaches no caller."""
+    monkeypatch.setattr(graph_module.np, "loadtxt", lenient_loadtxt)
     path = tmp_path / "edges.tsv"
-    path.write_text("0 1 1.0\n1 2 1.0\n")
-    ref, fast = check_against_reference(path, False)
-    assert ref[0] == "graph"
-    assert fast is None
+    path.write_text(text)
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        ref, fast = check_against_reference(path, False)
+    assert shown == []
+    if error is None:
+        assert ref[0] == "graph" and fast is not None
+    else:
+        assert ref == ("error", f"{path}{error}") and fast is None
+
+
+@pytest.mark.parametrize("text, lenient, taken, loads", [
+    ("# n 3\n0 1 1.0\n1 2 2.5\n", False, True, True),
+    ("0 1 1.0\n# c\n1 2 2.5\n", False, False, True),   # later comment
+    ("0 1 1.0\n1 0 2.0\n", False, False, False),        # duplicate
+    ("0 1 1.0\n1.0 2 1.0\n", True, False, False),       # lenient numpy
+], ids=["numpy", "line-loop", "error", "lenient-numpy"])
+def test_warning_filters_restored(tmp_path, monkeypatch, text, lenient,
+                                  taken, loads):
+    """``warnings.filters`` is the same after ``load_edge_list`` returns,
+    declines to the line loop, or raises ``GraphFormatError``."""
+    if lenient:
+        monkeypatch.setattr(graph_module.np, "loadtxt", lenient_loadtxt)
+    path = tmp_path / "edges.tsv"
+    path.write_text(text)
+    before = list(warnings.filters)
+    with numpy_parse_results() as results:
+        result = outcome(lambda: load_edge_list(path))
+    assert (results[0] is not None, result[0] == "graph") == (taken, loads)
+    assert warnings.filters == before

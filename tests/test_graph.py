@@ -146,6 +146,15 @@ class TestLoadEdgeList:
         assert (g.n, g.m) == (1 << 20, 2)
         with pytest.raises(GraphFormatError, match=":2: vertex id 1048576 "):
             load_edge_list(write(tmp_path, "0 1 1.0\n2 1048576 1.0\n"))
+        # A later bad line, read before any count, does not hide it: the
+        # two edges read so far set the cap.
+        for later in ("0 1 1.0", "3 4 -1.0"):
+            with pytest.raises(GraphFormatError, match=(
+                    r":2: vertex id 2147483646 too large for an edge list "
+                    r"without a vertex count \(ids stay below max\(2m, "
+                    r"2\*\*20\) = 1048576, m = 2 edges")):
+                load_edge_list(write(
+                    tmp_path, f"0 1 1.0\n2 2147483646 1.0\n{later}\n"))
 
     @pytest.mark.parametrize("text, message", [
         ("# n 1\n0 1 1.0\n", ":2: vertex id 1 too large for n=1"),
@@ -702,8 +711,6 @@ class TestBuildMemory:
             lambda: generate_planted_clique(self.CFG)[0])
         assert peak <= 1.45 * csr_bytes(graph)
 
-    @pytest.mark.skipif(not graph_module._FAST_PATH_AVAILABLE,
-                        reason="this numpy reads edge lists by the line loop")
     @pytest.mark.parametrize("given_n", [True, False])
     def test_load_edge_list_peak(self, tmp_path, given_n):
         """The parsed rows and the CSR, never U or the bool sum besides.

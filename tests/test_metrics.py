@@ -141,7 +141,7 @@ class TestSpectral:
     def test_dominant_eigenpair_matches_dense(self, rng):
         for _ in range(10):
             g = random_graph(rng, 15, min_edges=3)
-            eig, v, res, _ = dominant_eigenpair(g.adj, g.w_max)
+            eig, v, res, _, _ = dominant_eigenpair(g.adj, g.w_max)
             dense_top = np.linalg.eigvalsh(g.adj.toarray())[-1]
             assert eig == pytest.approx(dense_top, abs=1e-6)
             assert res <= 1e-6 * max(eig, 1.0)
@@ -150,7 +150,7 @@ class TestSpectral:
         # single edge: eigenvalues are +w and -w, which defeats unshifted
         # power iteration on A alone
         g = WeightedGraph.from_edges(2, [0], [1], [2.0])
-        eig, _, _, _ = dominant_eigenpair(g.adj, g.w_max)
+        eig, _, _, _, _ = dominant_eigenpair(g.adj, g.w_max)
         assert eig == pytest.approx(2.0, abs=1e-8)
 
     def test_non_convergence_warns_after_one_run(self, monkeypatch):
@@ -160,7 +160,7 @@ class TestSpectral:
         monkeypatch.setattr(spectral, "EIG_MAX_ITERS", 100)
         calls = counting(monkeypatch, power_iteration, spectral)
         with pytest.warns(RuntimeWarning, match="after 100 iterations"):
-            eig, _, res, _ = dominant_eigenpair(two_triangles().adj, 1.0)
+            eig, _, res, _, _ = dominant_eigenpair(two_triangles().adj, 1.0)
         assert len(calls) == 1
         assert res > spectral.EIG_TOL * 3.0
         assert eig == pytest.approx(2.0, abs=1e-3)
@@ -202,7 +202,7 @@ class TestSpectral:
         monkeypatch.setattr(spectral, "power_iteration", counted)
         g = two_camps(0)
         with pytest.warns(RuntimeWarning, match="power iteration residual"):
-            eig, _, res, _ = dominant_eigenpair(g.adj, g.w_max)
+            eig, _, res, _, _ = dominant_eigenpair(g.adj, g.w_max)
         assert len(products) == 1
         assert res > spectral.EIG_TOL * (eig + g.w_max)
 
@@ -226,7 +226,7 @@ class TestSpectral:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            eig, v, res, floor = dominant_eigenpair(Counting(), g.w_max)
+            eig, v, res, floor, _ = dominant_eigenpair(Counting(), g.w_max)
         assert len(products) <= most
         a = adj.toarray()
         dense = np.linalg.eigvalsh(a)[-1]
@@ -242,7 +242,7 @@ class TestSpectral:
                                weighted=bool(i % 2), min_edges=1)
                   for i in range(20)] + [two_camps(3), two_triangles()]
         for g in graphs:
-            _, v, _, _ = dominant_eigenpair(g.adj, g.w_max)
+            _, v, _, _, _ = dominant_eigenpair(g.adj, g.w_max)
             assert v @ np.random.default_rng(0).standard_normal(g.n) > 0
 
             def shifted(x):
@@ -274,7 +274,7 @@ class TestSpectral:
             g = random_graph(rng, n, weighted=kind == "weighted", p=p)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            eig, v, _, floor = dominant_eigenpair(g.adj, g.w_max)
+            eig, v, _, floor, _ = dominant_eigenpair(g.adj, g.w_max)
         assert type(floor) is float and floor >= 0.0
         ev = np.linalg.eigvalsh(g.adj.toarray() - eig * np.outer(v, v))
         assert floor <= max(-ev[0], ev[-1]) * (1 + 1e-12)
@@ -282,7 +282,7 @@ class TestSpectral:
     def test_second_singular_value_matches_dense(self, rng):
         for _ in range(10):
             g = random_graph(rng, 12, min_edges=3)
-            eig, v, _, _ = dominant_eigenpair(g.adj, g.w_max)
+            eig, v, _, _, _ = dominant_eigenpair(g.adj, g.w_max)
             s2 = second_singular_value(g.adj, eig, v)
             dense_svals = np.linalg.svd(g.adj.toarray(), compute_uv=False)
             assert s2 == pytest.approx(dense_svals[1], abs=1e-5)
@@ -291,7 +291,7 @@ class TestSpectral:
     def assert_bounds_deflated_norm(g):
         """sigma_2 is a Python float at or above ||A - eig1 v1 v1^T|| (dense
         eigvalsh, itself exact only to a few ulps) and within 1e-8 of it."""
-        eig, v, _, _ = dominant_eigenpair(g.adj, g.w_max)
+        eig, v, _, _, _ = dominant_eigenpair(g.adj, g.w_max)
         s2 = second_singular_value(g.adj, eig, v)
         assert type(s2) is float  # a numpy scalar breaks `vacdks bound` JSON
         ev = np.linalg.eigvalsh(g.adj.toarray() - eig * np.outer(v, v))
@@ -368,6 +368,34 @@ class TestSpectral:
         assert spectral_radius_bound(g, on_edge) == 3.0
         assert spectral_radius_bound(g, g.eigenpair[1]) == \
             pytest.approx(3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("signs", ["non-negative", "non-positive",
+                                       "mixed"])
+    def test_eigen_abs_product_is_the_bound_product(self, signs):
+        """A|v1| from the eigenpair's checking product is adj @ |v1| bit for
+        bit where v1 is single-signed; a mixed-sign v1 (here on a
+        disconnected graph) keeps none and the bound forms the product."""
+        rng = np.random.default_rng(0)
+        if signs == "non-negative":
+            g = two_triangles()
+        elif signs == "non-positive":
+            g = random_graph(rng, 30, p=0.3)
+        else:
+            adj = sparse.block_diag([random_graph(rng, 12).adj,
+                                     random_graph(rng, 8).adj]).tocsr()
+            g = WeightedGraph(adj=adj, w_max=float(adj.data.max()))
+        v = g.eigenpair[1]
+        assert ((v >= 0).all(), (v <= 0).all()) == {
+            "non-negative": (True, False), "non-positive": (False, True),
+            "mixed": (False, False)}[signs]
+        product = g.eigen_abs_product
+        if signs == "mixed":
+            assert product is None
+        else:
+            assert product.tobytes() == (g.adj @ np.abs(v)).tobytes()
+            assert not product.flags.writeable
+        assert spectral_radius_bound(g, v, product) \
+            == spectral_radius_bound(g, v)
 
     def test_unit_weight_degrees_are_row_lengths(self, rng):
         # The row lengths equal the row sums of 1.0 bit for bit.
