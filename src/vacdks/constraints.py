@@ -33,7 +33,11 @@ class ConstraintError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ConstraintSpec:
-    """Subgraph size k plus per-group lower bounds over a vertex partition."""
+    """Subgraph size k plus per-group lower bounds over a vertex partition.
+
+    Instances are immutable, like graphs and their assignments, so a
+    solver may keep what it derived from one (see ``greedy_peel``).
+    """
 
     k: int
     mins: tuple

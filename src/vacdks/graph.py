@@ -224,7 +224,8 @@ class AttributeAssignment:
     """Partition of the vertices into attribute groups.
 
     ``labels[v]`` is the group index of vertex v in [0, r); ``groups[i]``
-    holds the sorted member list of group i.
+    holds the sorted member list of group i. Instances are immutable, like
+    graphs: :meth:`from_labels` builds read-only arrays of its own.
     """
 
     labels: np.ndarray
@@ -240,8 +241,10 @@ class AttributeAssignment:
 
     @classmethod
     def from_labels(cls, labels, r=None) -> "AttributeAssignment":
-        labels = np.asarray(_integer_array(labels, "group labels"),
-                            dtype=np.int64)
+        # A copy, so that the caller's array stays writeable and later
+        # writes to it do not reach the assignment.
+        labels = np.array(_integer_array(labels, "group labels"),
+                          dtype=np.int64)
         if len(labels) and labels.min() < 0:
             raise ValueError("negative group index")
         if r is None:
@@ -249,6 +252,8 @@ class AttributeAssignment:
         elif len(labels) and labels.max() >= r:
             raise ValueError("group index out of range")
         groups = tuple(np.flatnonzero(labels == i) for i in range(r))
+        for array in (labels, *groups):
+            array.flags.writeable = False
         return cls(labels=labels, groups=groups)
 
 

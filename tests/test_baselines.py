@@ -1,3 +1,7 @@
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings
@@ -15,6 +19,7 @@ from vacdks import (
     is_feasible_binary,
     lrbo_rank1,
 )
+from vacdks import baselines
 from vacdks.baselines import _peel_keys
 
 from conftest import (
@@ -156,6 +161,8 @@ class TestGreedyPeel:
         graph, spec = instance
         sel = greedy_peel(graph, spec)
         np.testing.assert_array_equal(sel, peel_reference(graph, spec))
+        # The second call is answered from the memo.
+        np.testing.assert_array_equal(greedy_peel(graph, spec), sel)
         kept = np.bincount(spec.attr.labels[sel], minlength=spec.attr.r)
         for ki, members, c in zip(spec.mins, spec.attr.groups, kept):
             if ki and len(members) == ki:
@@ -181,6 +188,56 @@ class TestGreedyPeel:
                               attr=AttributeAssignment.from_labels(labels))
         sel = greedy_peel(g, spec)
         assert 4 in sel
+
+    def test_second_call_reuses_the_peel(self, rng, monkeypatch):
+        graph, spec = random_graph(rng, 20), random_spec(rng, 20)
+        first = greedy_peel(graph, spec)
+        peels = []
+        monkeypatch.setattr(baselines, "_peel_keys",
+                            lambda g: peels.append(g) or _peel_keys(g))
+        second, third = greedy_peel(graph, spec), greedy_peel(graph, spec)
+        assert peels == []
+        np.testing.assert_array_equal(second, first)
+        assert not np.shares_memory(second, first)
+        assert not np.shares_memory(second, third)
+        second[:] = -1
+        np.testing.assert_array_equal(third, first)
+        np.testing.assert_array_equal(greedy_peel(graph, spec), first)
+        # Another graph under the same spec is peeled afresh.
+        other = random_graph(rng, 20)
+        np.testing.assert_array_equal(greedy_peel(other, spec),
+                                      peel_reference(other, spec))
+        assert peels == [other]
+
+    def test_memo_keeps_nothing_alive(self, rng):
+        # The @example instances above live as long as the module, and so
+        # do their entries: count this spec's own.
+        held = len(baselines._PEELED)
+        graph, spec = random_graph(rng, 12), random_spec(rng, 12)
+        greedy_peel(graph, spec)
+        assert spec in baselines._PEELED and len(baselines._PEELED) == held + 1
+        graph_ref, spec_ref = weakref.ref(graph), weakref.ref(spec)
+        del graph
+        gc.collect()
+        assert graph_ref() is None and spec in baselines._PEELED
+        del spec
+        gc.collect()
+        assert spec_ref() is None and len(baselines._PEELED) == held
+
+    def test_pickles_after_peel(self, rng):
+        graph, spec = random_graph(rng, 12), random_spec(rng, 12)
+        sel = greedy_peel(graph, spec)
+        graph2, spec2 = pickle.loads(pickle.dumps((graph, spec)))
+        np.testing.assert_array_equal(greedy_peel(graph2, spec2), sel)
+
+    def test_unpickled_weighted_step_has_the_canonical_dtype(self, rng):
+        """An unpickled array's float64 dtype is equal to numpy's but not
+        the same object, which sends ``np.subtract.at`` down a slow path;
+        the peel's step views the same data under the canonical dtype."""
+        graph = pickle.loads(pickle.dumps(random_graph(rng, 12, min_edges=3)))
+        step = _peel_keys(graph)[3]
+        assert step.dtype is np.dtype(np.float64)
+        assert np.shares_memory(step, graph.adj.data)
 
     def test_finds_planted_clique(self):
         cfg = PlantedCliqueConfig(n=5000, p=0.01, k=15, r=3, seed=9)

@@ -83,6 +83,20 @@ class TestValidate:
         assert spec.mins == (1, 1)
         assert all(type(ki) is int for ki in spec.mins)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_spec_arrays_are_read_only(self, dtype):
+        """A spec is immutable like a graph: its labels and groups cannot
+        be written, and the caller's labels are copied, not frozen."""
+        labels = np.array([0, 1, 0, 1], dtype=dtype)
+        spec = make_spec(labels, 2, [1, 1])
+        with pytest.raises(ValueError, match="read-only"):
+            spec.attr.labels[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            spec.attr.groups[0][0] = 1
+        assert labels.flags.writeable
+        labels[0] = 1
+        assert spec.attr.labels.tolist() == [0, 1, 0, 1]
+
 
 class TestFeasibility:
     spec = make_spec([0, 0, 1, 1, 1], 3, [1, 1])
