@@ -225,11 +225,22 @@ class AttributeAssignment:
 
     ``labels[v]`` is the group index of vertex v in [0, r); ``groups[i]``
     holds the sorted member list of group i. Instances are immutable, like
-    graphs: :meth:`from_labels` builds read-only arrays of its own.
+    graphs: they keep read-only copies of the arrays they are given.
     """
 
     labels: np.ndarray
     groups: tuple
+
+    def __post_init__(self):
+        labels, *groups = (np.array(a) for a in (self.labels, *self.groups))
+        for array in (labels, *groups):
+            array.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "groups", tuple(groups))
+
+    def __reduce__(self):
+        # Unpickled or deep-copied through __init__: read-only copies too.
+        return type(self), (self.labels, self.groups)
 
     @property
     def n(self) -> int:
@@ -241,10 +252,8 @@ class AttributeAssignment:
 
     @classmethod
     def from_labels(cls, labels, r=None) -> "AttributeAssignment":
-        # A copy, so that the caller's array stays writeable and later
-        # writes to it do not reach the assignment.
-        labels = np.array(_integer_array(labels, "group labels"),
-                          dtype=np.int64)
+        labels = _integer_array(labels, "group labels").astype(
+            np.int64, copy=False)
         if len(labels) and labels.min() < 0:
             raise ValueError("negative group index")
         if r is None:
@@ -252,8 +261,6 @@ class AttributeAssignment:
         elif len(labels) and labels.max() >= r:
             raise ValueError("group index out of range")
         groups = tuple(np.flatnonzero(labels == i) for i in range(r))
-        for array in (labels, *groups):
-            array.flags.writeable = False
         return cls(labels=labels, groups=groups)
 
 
@@ -292,12 +299,12 @@ def load_edge_list(path, unweighted_default=False, n=None) -> WeightedGraph:
     so ids stay below it. Without one, a comment of the form "# n <count>"
     (written by :func:`save_edge_list`) is the vertex count, so isolated
     trailing vertices survive a round trip; with one, the count may not
-    exceed ``n``. Every "# n" line of a file gives the same count. With
-    neither, the largest id + 1, at most max(2m, 2**20) for m edges, is the
-    count, so that one stray id cannot size the graph past its edges; where
-    a later line fails before any count is read, the m edges read so far
-    set that cap. Comments take a whole line: "#" inside an edge line is an
-    error.
+    exceed ``n``. A "# n" line must come once, before the first edge line.
+    With neither, the largest id + 1, at most max(2m, 2**20) for m edges, is
+    the count, so that one stray id cannot size the graph past its edges;
+    where a later line fails before any count is read, the m edges read so
+    far set that cap. Comments take a whole line: "#" inside an edge line
+    is an error.
     Malformed input raises :class:`GraphFormatError` naming the first bad
     line, or only the file when it is not UTF-8 text.
 
@@ -307,7 +314,7 @@ def load_edge_list(path, unweighted_default=False, n=None) -> WeightedGraph:
     """
     us, vs, ws = [], [], []
     count = n  # the vertex count: n, else the file's "# n" count, if any
-    first = None  # (count, line) of the first "# n" line
+    counted = False  # whether a "# n" line was read
     seen = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -331,21 +338,13 @@ def load_edge_list(path, unweighted_default=False, n=None) -> WeightedGraph:
                             raise GraphFormatError(
                                 f"{path}:{lineno}: vertex count "
                                 f"{declared} too large for n={bound}")
-                        if first is None:
-                            first = (declared, lineno)
-                        elif declared != first[0]:
+                        if counted or us:
                             raise GraphFormatError(
-                                f"{path}:{lineno}: vertex count {declared} "
-                                f"differs from {first[0]} at line {first[1]}")
+                                f"{path}:{lineno}: a '# n' line must come "
+                                "once, before the first edge line")
+                        counted = True
                         if count is None:
                             count = declared
-                            # The first id the count leaves out, if an edge
-                            # line above declared it.
-                            for (_, top), at in seen.items():
-                                if top >= count:
-                                    raise GraphFormatError(
-                                        f"{path}:{at}: vertex id {top} too "
-                                        f"large for n={count}")
                     continue
                 parts = line.split()
                 if not us:  # the first edge line
@@ -365,8 +364,6 @@ def load_edge_list(path, unweighted_default=False, n=None) -> WeightedGraph:
                 if u < 0 or v < 0:
                     raise GraphFormatError(
                         f"{path}:{lineno}: negative vertex id")
-                # Without a count yet, a "# n" line below or the implied
-                # count at the end bounds the id.
                 if count is not None and max(u, v) >= count:
                     raise GraphFormatError(
                         f"{path}:{lineno}: vertex id {max(u, v)} too large "

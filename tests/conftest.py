@@ -1,12 +1,15 @@
 """Shared test helpers: random instances, exhaustive enumeration, oracles."""
 
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from vacdks import AttributeAssignment, ConstraintSpec, WeightedGraph, lmo
+from vacdks import (AttributeAssignment, ConstraintSpec, WeightedGraph, lmo,
+                    load_edge_list)
+from vacdks import graph as graph_module
 from vacdks.graph import _SUPPORT_ROWS_SHARE
 
 
@@ -168,6 +171,16 @@ def dense_g(graph, lam, x):
     a = graph.adj.toarray()
     x = np.asarray(x, dtype=np.float64)
     return float(x @ a @ x + lam * (x @ x))
+
+
+# The error of a "# n" line after an edge line or after another "# n" line.
+PLACEMENT = "a '# n' line must come once, before the first edge line"
+
+
+def load_reference(path, unweighted_default=False, n=None):
+    """``load_edge_list`` with the numpy parse off: the line loop alone."""
+    with mock.patch.object(graph_module, "_numpy_parse", lambda *args: None):
+        return load_edge_list(path, unweighted_default, n)
 
 
 def graphs_equal(g1, g2):

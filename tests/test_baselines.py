@@ -209,6 +209,26 @@ class TestGreedyPeel:
                                       peel_reference(other, spec))
         assert peels == [other]
 
+    def test_hand_built_assignment_is_read_only(self, rng):
+        """An assignment built without ``from_labels`` holds read-only
+        copies too: a write to the caller's arrays reaches neither it nor
+        the survivors the memo returns for a spec over it."""
+        graph = random_graph(rng, 20)
+        labels = np.arange(20) % 2
+        groups = [np.flatnonzero(labels == i) for i in range(2)]
+        attr = AttributeAssignment(labels=labels, groups=tuple(groups))
+        spec = ConstraintSpec(k=8, mins=(3, 3), attr=attr)
+        assert not attr.labels.flags.writeable
+        assert not any(g.flags.writeable for g in attr.groups)
+        first = greedy_peel(graph, spec)
+        labels[:] = 0
+        groups[0][:], groups[1][:] = groups[1].copy(), groups[0].copy()
+        assert attr.labels.tolist() == [0, 1] * 10
+        assert [g.tolist() for g in attr.groups] == [list(range(0, 20, 2)),
+                                                     list(range(1, 20, 2))]
+        np.testing.assert_array_equal(greedy_peel(graph, spec), first)
+        np.testing.assert_array_equal(first, peel_reference(graph, spec))
+
     def test_memo_keeps_nothing_alive(self, rng):
         # The @example instances above live as long as the module, and so
         # do their entries: count this spec's own.

@@ -1,6 +1,8 @@
 import collections
 import contextlib
+import copy
 import math
+import pickle
 import signal
 from unittest import mock
 
@@ -86,7 +88,8 @@ class TestValidate:
     @pytest.mark.parametrize("dtype", [np.int64, np.int32])
     def test_spec_arrays_are_read_only(self, dtype):
         """A spec is immutable like a graph: its labels and groups cannot
-        be written, and the caller's labels are copied, not frozen."""
+        be written, the caller's labels are copied, not frozen, and a
+        pickled or deep-copied assignment is read-only too."""
         labels = np.array([0, 1, 0, 1], dtype=dtype)
         spec = make_spec(labels, 2, [1, 1])
         with pytest.raises(ValueError, match="read-only"):
@@ -96,6 +99,12 @@ class TestValidate:
         assert labels.flags.writeable
         labels[0] = 1
         assert spec.attr.labels.tolist() == [0, 1, 0, 1]
+        for attr in (pickle.loads(pickle.dumps(spec.attr)),
+                     copy.deepcopy(spec.attr)):
+            assert attr.labels.tolist() == [0, 1, 0, 1]
+            assert attr.labels.dtype == np.int64
+            assert not any(a.flags.writeable
+                           for a in (attr.labels, *attr.groups))
 
 
 class TestFeasibility:
@@ -124,6 +133,12 @@ class TestFeasibility:
     def test_fractional_box_violation(self):
         with pytest.raises(ConstraintError, match="unit box"):
             check_fractional(self.spec, np.array([1.5, 0, 0.5, 1, 0]))
+
+    def test_fractional_wrong_shape(self):
+        for point in (np.full(4, 0.75), np.full((5, 1), 0.6)):
+            with pytest.raises(ConstraintError,
+                               match=r"point has shape .*, expected \(5,\)"):
+                check_fractional(self.spec, point)
 
     def test_fractional_mass_violation(self):
         with pytest.raises(ConstraintError, match="mass"):

@@ -27,6 +27,8 @@ from vacdks import GraphFormatError, PlantedCliqueConfig, WeightedGraph
 from vacdks import generate_planted_clique, load_edge_list, save_edge_list
 from vacdks import graph as graph_module
 
+from conftest import PLACEMENT, load_reference
+
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
@@ -67,15 +69,18 @@ def edge_files(draw):
         sep = draw(SEPARATORS)
         lines.append(draw(PADDING) + sep.join(fields) + draw(PADDING))
     # Comments and blank lines: up front only (the shape numpy takes) or
-    # anywhere (numpy declines and the line loop reads on). Every "# n" line
-    # gives one count that holds the ids: the vertex count.
-    count = draw(st.integers(min_value=n, max_value=40))
-    headers = st.sampled_from([f"# n {count}", f"#n {count}"])
-    extras = draw(st.lists(st.one_of(COMMENTS, headers, BLANKS), max_size=4))
+    # anywhere (numpy declines and the line loop reads on). At most one
+    # "# n" line, above the first edge line, gives a count that holds the
+    # ids: the vertex count.
+    extras = draw(st.lists(st.one_of(COMMENTS, BLANKS), max_size=4))
     leading_only = draw(st.booleans())
     for extra in extras:
         at = 0 if leading_only else draw(st.integers(0, len(lines)))
         lines.insert(at, extra)
+    if draw(st.booleans()):
+        count = draw(st.integers(min_value=n, max_value=40))
+        header = draw(st.sampled_from([f"# n {count}", f"#n {count}"]))
+        lines.insert(draw(st.integers(0, first_edge(lines))), header)
     eols = [draw(EOLS) for _ in lines]
     return lines, eols, unweighted_default
 
@@ -83,6 +88,12 @@ def edge_files(draw):
 def render(lines, eols, final_eol=True):
     text = "".join(line + eol for line, eol in zip(lines, eols))
     return text if final_eol else text.rstrip("\r\n")
+
+
+def first_edge(lines):
+    """The index of the first edge line among ``lines``."""
+    return next(i for i, ln in enumerate(lines)
+                if ln.strip() and not ln.strip().startswith("#"))
 
 
 def header_counts(lines):
@@ -104,12 +115,6 @@ def assert_same_graph(g1, g2):
     for name in ("indptr", "indices", "data"):
         a, b = getattr(g1.adj, name), getattr(g2.adj, name)
         assert a.dtype == b.dtype and np.array_equal(a, b)
-
-
-def load_reference(path, unweighted_default=False, n=None):
-    """``load_edge_list`` with the numpy parse off: the line loop alone."""
-    with mock.patch.object(graph_module, "_numpy_parse", lambda *args: None):
-        return load_edge_list(path, unweighted_default, n)
 
 
 @contextlib.contextmanager
@@ -194,8 +199,11 @@ def test_bad_record_matches_reference(edge_path, spec, bad, data):
     eols = eols[:at] + [data.draw(EOLS)] + eols[at:]
     edge_path.write_bytes(render(lines, eols).encode())
     ref, _ = check_against_reference(edge_path, unweighted_default)
+    # "0 13" is an edge under unit weights, unless a "# n" line comes after
+    # it or holds no id 13.
     if (bad == "0 13" and unweighted_default
-            and all(c > 13 for c in header_counts(lines))):
+            and not header_counts(lines[at + 1:])
+            and all(c > 13 for c in header_counts(lines[:at]))):
         assert ref[0] == "graph"
     else:
         assert ref[0] == "error" and f"{edge_path}:" in ref[1]
@@ -240,16 +248,17 @@ def test_given_n_bounds_ids_and_counts(edge_path, spec, data):
 @SETTINGS
 @given(spec=edge_files(), data=st.data())
 def test_header_count_bounds_ids_without_n(edge_path, spec, data):
-    """Without a given n, a lone "# n" line is the vertex count: an id at or
-    above it fails at its line in both readers, above or below the header,
-    and a second count that differs fails at the later of the two lines."""
+    """Without a given n, a lone "# n" line above the first edge line is the
+    vertex count: an id at or above it fails at its line in both readers. A
+    "# n" line below an edge line, or a second one, fails at its line, unless
+    an id read before it lies past the implied-count cap."""
     lines, eols, unweighted_default = spec
     kept = [i for i, ln in enumerate(lines) if not header_counts([ln])]
     lines, eols = [lines[i] for i in kept], [eols[i] for i in kept]
     edge_path.write_bytes(render(lines, eols).encode())
     count = (load_reference(edge_path, unweighted_default).n
              + data.draw(st.integers(0, 3)))
-    head = data.draw(st.integers(0, len(lines)))
+    head = data.draw(st.integers(0, first_edge(lines)))
     lines = lines[:head] + [f"# n {count}"] + lines[head:]
     eols = eols[:head] + [data.draw(EOLS)] + eols[head:]
     edge_path.write_bytes(render(lines, eols).encode())
@@ -265,19 +274,23 @@ def test_header_count_bounds_ids_without_n(edge_path, spec, data):
         if data.draw(st.booleans()):
             ids.reverse()
         bad = f"{ids[0]} {ids[1]} 1.0"
-        want = f"{edge_path}:{at + 1}: vertex id {past} too large for n={count}"
-    elif at < head:
-        # Read first, a larger count holds every id; the file's own count
-        # is then the second one.
-        other = count + data.draw(st.integers(1, 2**40))
-        bad = f"# n {other}"
-        want = (f"{edge_path}:{head + 1}: vertex count {count} differs from "
-                f"{other} at line {at + 1}")
+        if at > head:
+            want = (f"{edge_path}:{at + 1}: vertex id {past} too large for "
+                    f"n={count}")
+        elif past < 1 << 20:
+            # The first edge line: the "# n" line below it is misplaced.
+            want = f"{edge_path}:{head + 1}: {PLACEMENT}"
+        else:
+            # Read before any count, the id is held to the implied-count cap
+            # of the one edge read so far.
+            want = (f"{edge_path}:{at + 1}: vertex id {past} too large for "
+                    "an edge list without a vertex count (ids stay below "
+                    "max(2m, 2**20) = 1048576, m = 1 edges; give n or a "
+                    "'# n' line)")
     else:
-        other = data.draw(st.integers(0, 2**40).filter(lambda c: c != count))
-        bad = f"# n {other}"
-        want = (f"{edge_path}:{at + 1}: vertex count {other} differs from "
-                f"{count} at line {head + 1}")
+        # A second "# n" line, whatever its count: the later of the two fails.
+        bad = f"# n {data.draw(st.integers(0, 2**40))}"
+        want = f"{edge_path}:{max(at, head) + 1}: {PLACEMENT}"
     lines = lines[:at] + [bad] + lines[at:]
     eols = eols[:at] + [data.draw(EOLS)] + eols[at:]
     edge_path.write_bytes(render(lines, eols).encode())

@@ -29,8 +29,8 @@ from vacdks import graph as graph_module
 from vacdks.graph import (_PAIRWISE_LIMIT, _background_pair_indices, _pairs_from_indices, _sample_pair_indices,
                           _support_product)
 
-from conftest import (graphs_equal, random_graph, small_instances,
-                      support_is_narrow)
+from conftest import (PLACEMENT, graphs_equal, load_reference, random_graph,
+                      small_instances, support_is_narrow)
 
 
 def write(tmp_path, text, name="g.tsv"):
@@ -158,21 +158,30 @@ class TestLoadEdgeList:
 
     @pytest.mark.parametrize("text, message", [
         ("# n 1\n0 1 1.0\n", ":2: vertex id 1 too large for n=1"),
-        ("0 5 1.0\n1 2 1.0\n# n 3\n", ":1: vertex id 5 too large for n=3"),
-        ("#n 3\n# n 0\n0 1 1.0\n",
-         ":2: vertex count 0 differs from 3 at line 1"),
-        ("# n 4\n0 1 1.0\n# n 5\n",
-         ":3: vertex count 5 differs from 4 at line 1"),
-    ], ids=["id-below", "id-above", "counts-first", "count-after-edges"])
+        ("0 5 1.0\n1 2 1.0\n# n 3\n", f":3: {PLACEMENT}"),
+        ("#n 3\n# n 0\n0 1 1.0\n", f":2: {PLACEMENT}"),
+        ("# n 4\n0 1 1.0\n# n 5\n", f":3: {PLACEMENT}"),
+        # No count holds the stray id on line 2: the later ones never count.
+        ("0 1 1.0\n2 3000000 1.0\n0 1 1.0\n# n 4000000\n",
+         ":2: vertex id 3000000 too large for an edge list without a vertex "
+         "count"),
+    ], ids=["id-below", "id-above", "counts-first", "count-after-edges",
+            "count-after-a-stray-id"])
     def test_header_is_the_vertex_count(self, tmp_path, text, message):
-        """Without a given n, a "# n" line is the count, not a lower bound."""
-        with pytest.raises(GraphFormatError, match=message):
-            load_edge_list(write(tmp_path, text))
+        """Without a given n, a "# n" line is the count, not a lower bound;
+        it must come once, before the first edge line. The line loop alone
+        says the same."""
+        for load in (load_edge_list, load_reference):
+            with pytest.raises(GraphFormatError, match=message):
+                load(write(tmp_path, text))
 
     def test_header_declares_isolated_vertices(self, tmp_path):
-        g = load_edge_list(write(tmp_path, "# n 7\r\n0 1 1.0\r\n# n 7\n"))
-        assert (g.n, g.m) == (7, 1)
-        assert load_edge_list(write(tmp_path, "0 1 1.0\n"), n=5).n == 5
+        for load in (load_edge_list, load_reference):
+            g = load(write(tmp_path, "# n 7\r\n0 1 1.0\r\n"))
+            assert (g.n, g.m) == (7, 1)
+            assert load(write(tmp_path, "0 1 1.0\n"), n=5).n == 5
+            with pytest.raises(GraphFormatError, match=f":3: {PLACEMENT}"):
+                load(write(tmp_path, "# n 7\r\n0 1 1.0\r\n# n 7\n"))
 
 
 class TestLoadAttributes:
@@ -196,6 +205,8 @@ class TestLoadAttributes:
             load_attributes(write(tmp_path, "0 0\n3 0\n1 0\n"))
         with pytest.raises(GraphFormatError, match=":2: expected 'vertex group'"):
             load_attributes(write(tmp_path, "0 0\n1\n"))
+        with pytest.raises(GraphFormatError, match=":1: non-integer field"):
+            load_attributes(write(tmp_path, "0 a\n"))
 
     def test_unlabeled_vertex(self, tmp_path):
         with pytest.raises(GraphFormatError, match="vertex 1 unlabeled"):
@@ -540,6 +551,9 @@ def test_from_edges_rejects_bad_input():
         WeightedGraph.from_edges(3, [0], [1], [-1.0])
     with pytest.raises(ValueError, match="range"):
         WeightedGraph.from_edges(3, [0], [5])
+    for u, v, w in (([0, 1], [1], None), ([0], [1], [1.0, 2.0])):
+        with pytest.raises(ValueError, match="must have equal length"):
+            WeightedGraph.from_edges(3, u, v, w)
 
 
 def test_from_edges_rejects_float_ids():
@@ -558,6 +572,13 @@ def test_from_labels_rejects_float_labels():
         AttributeAssignment.from_labels([0.5, 1.7, 1.2])
     attr = AttributeAssignment.from_labels([])
     assert attr.labels.dtype == np.int64 and (attr.n, attr.r) == (0, 0)
+
+
+def test_from_labels_rejects_labels_outside_the_groups():
+    with pytest.raises(ValueError, match="negative group index"):
+        AttributeAssignment.from_labels([0, -1, 1])
+    with pytest.raises(ValueError, match="group index out of range"):
+        AttributeAssignment.from_labels([0, 2, 1], r=2)
 
 
 @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])

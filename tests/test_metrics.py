@@ -90,6 +90,10 @@ class TestNormalizedEdgeWeight:
         with pytest.raises(ValueError, match="integers"):
             normalized_edge_weight(complete_graph(4), [0.5, 2.5])
 
+    def test_edgeless_graph_scores_zero(self):
+        g = WeightedGraph.from_edges(4, [], [])
+        assert normalized_edge_weight(g, np.arange(3)) == 0.0
+
 
 class TestGroupTools:
     def test_proportions(self):
@@ -102,6 +106,11 @@ class TestGroupTools:
         # -1 must not wrap around to vertex 4
         with pytest.raises(ValueError, match="out of range"):
             group_proportions(attr, [-1, 0])
+
+    def test_proportions_reject_an_empty_selection(self):
+        attr = AttributeAssignment.from_labels(np.array([0, 0, 1]))
+        with pytest.raises(ValueError, match="empty selection"):
+            group_proportions(attr, [])
 
     def test_recovery(self):
         assert recovery_check(np.array([3, 1, 2]), np.array([1, 2, 3]))
