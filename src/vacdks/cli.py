@@ -17,9 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import brute_force, greedy_peel, lrbo_rank1
 from .constraints import ConstraintSpec, is_feasible_binary, validate
-from .fw import FwConfig, solve_fw
+from .fw import METHODS, FwConfig, solve
 from .graph import (
     AttributeAssignment,
     GraphFormatError,
@@ -33,8 +32,6 @@ from .graph import (
     save_edge_list,
 )
 from .metrics import normalized_edge_weight, recovery_check, upper_bound
-
-METHODS = ("fw", "peel", "lrbo", "fw+peel", "oracle")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,30 +113,10 @@ def _emit(obj, out):
     print(text)
 
 
-def _run_method(method, graph, spec, fw_cfg):
-    """Run one solver; returns (vertex array, FwTrace or None)."""
-    if method in ("fw", "fw+peel"):
-        x0 = None
-        if method == "fw+peel":  # warm start at the peeled set
-            x0 = np.zeros(graph.n)
-            x0[greedy_peel(graph, spec)] = 1.0
-        _, sel, trace = solve_fw(graph, spec, fw_cfg, x0=x0)
-        return sel, trace
-    if method == "peel":
-        return greedy_peel(graph, spec), None
-    if method == "lrbo":
-        sel, _, _ = lrbo_rank1(graph, spec)
-        return sel, None
-    if method == "oracle":
-        sel, _ = brute_force(graph, spec)
-        return sel, None
-    raise UsageError(f"unknown method {method!r}")
-
-
 def _solve_record(method, graph, spec, fw_cfg, instance, seed, planted):
     """Run, time and check one method; its record for ``solve`` and ``bench``."""
     start = time.perf_counter()
-    sel, trace = _run_method(method, graph, spec, fw_cfg)
+    sel, trace = solve(graph, spec, method, fw_cfg)
     wall = time.perf_counter() - start
     if not is_feasible_binary(spec, sel):
         raise RuntimeError(f"{method} produced an infeasible selection")

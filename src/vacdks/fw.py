@@ -12,6 +12,9 @@ matrix-vector product, and A s is reused while the LMO repeats its answer.
 Every product of A with a point of small support (a 0/1 start, A s, the
 rounding's A x of the final iterate) sums that support's rows and equals
 the full product bit for bit.
+
+``solve`` runs any of ``METHODS`` on one (graph, spec): FW from the uniform
+start, the baselines, and the paper's method, FW warm-started at the peel.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .baselines import brute_force, greedy_peel, lrbo_rank1
 from .constraints import (
     ConstraintSpec,
     check_fractional,
@@ -32,6 +36,8 @@ from .constraints import (
     validate,
 )
 from .graph import WeightedGraph, _support_product
+
+METHODS = ("fw", "peel", "lrbo", "fw+peel", "oracle")
 
 # Safety factor applied to the power-method estimate so the step rule's
 # ascent guarantee survives eigenvalue underestimation.
@@ -135,3 +141,28 @@ def solve_fw(graph: WeightedGraph, spec: ConstraintSpec, cfg: FwConfig = None,
     trace.wall_seconds = time.perf_counter() - start
     selected = np.flatnonzero(rounded > 0.5)
     return x, selected, trace
+
+
+def solve(graph: WeightedGraph, spec: ConstraintSpec, method: str,
+          cfg: FwConfig = None):
+    """Run one of ``METHODS``; returns (selected, FwTrace or None).
+
+    ``fw+peel`` is the paper's method: Frank-Wolfe warm-started at the
+    greedy peel's 0/1 set. ``cfg`` reaches only ``fw`` and ``fw+peel``.
+    """
+    if method in ("fw", "fw+peel"):
+        x0 = None
+        if method == "fw+peel":  # warm start at the peeled set
+            x0 = np.zeros(graph.n)
+            x0[greedy_peel(graph, spec)] = 1.0
+        _, sel, trace = solve_fw(graph, spec, cfg, x0=x0)
+        return sel, trace
+    if method == "peel":
+        return greedy_peel(graph, spec), None
+    if method == "lrbo":
+        sel, _, _ = lrbo_rank1(graph, spec)
+        return sel, None
+    if method == "oracle":
+        sel, _ = brute_force(graph, spec)
+        return sel, None
+    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

@@ -28,11 +28,21 @@ class WeightedGraph:
     distinct. All stored weights are strictly positive. ``w_max`` is the
     maximum stored weight (1.0 for unweighted graphs with at least one
     edge, 0.0 for empty graphs). Instances are immutable and safe to share
-    across solver runs.
+    across solver runs: ``adj.data``, ``adj.indices`` and ``adj.indptr``
+    are marked read-only in place, without a copy.
     """
 
     adj: sparse.csr_matrix
     w_max: float
+
+    def __post_init__(self):
+        for array in (self.adj.data, self.adj.indices, self.adj.indptr):
+            array.flags.writeable = False
+
+    def __reduce__(self):
+        # Unpickled or deep-copied through __init__: read-only again, and
+        # without the cached eigenpair.
+        return type(self), (self.adj, self.w_max)
 
     @property
     def n(self) -> int:

@@ -16,6 +16,7 @@ from vacdks import (
     normalized_edge_weight,
     recovery_check,
     round_to_integral,
+    solve,
     solve_fw,
     upper_bound,
 )
@@ -49,10 +50,8 @@ def test_criterion_1_oracle_envelope(report):
         spec = random_spec(rng, n, k_min=2)
         best_set, _ = brute_force(g, spec)
         best_val = induced_weight(g, best_set)
-        for solver in (lambda: solve_fw(g, spec)[1],
-                       lambda: greedy_peel(g, spec),
-                       lambda: lrbo_rank1(g, spec)[0]):
-            val = induced_weight(g, solver())
+        for method in ("fw", "peel", "lrbo"):
+            val = induced_weight(g, solve(g, spec, method)[0])
             worst_gap = max(worst_gap, val - best_val)
         bound = upper_bound(g, spec).bound
         achieved = normalized_edge_weight(g, best_set)
@@ -129,25 +128,13 @@ def test_criterion_4_fw_ascent_and_gap(report):
 
 
 def _run_paper_table(cfg_base, mins, seeds, methods):
-    stats = {m: {"recovered": 0, "normalized": [], "per_iter": []}
-             for m in methods}
+    stats = {m: {"recovered": 0, "normalized": []} for m in methods}
     for seed in seeds:
         cfg = PlantedCliqueConfig(**cfg_base, seed=seed)
         g, attr, planted = generate_planted_clique(cfg)
         spec = ConstraintSpec(k=cfg.k, mins=mins, attr=attr)
         for method in methods:
-            if method == "fw":
-                _, sel, trace = solve_fw(g, spec)
-                stats[method]["per_iter"].append(
-                    trace.wall_seconds / max(trace.iterations, 1))
-            elif method == "fw+peel":
-                x0 = np.zeros(g.n)
-                x0[greedy_peel(g, spec)] = 1.0
-                _, sel, _ = solve_fw(g, spec, x0=x0)
-            elif method == "peel":
-                sel = greedy_peel(g, spec)
-            else:
-                sel, _, _ = lrbo_rank1(g, spec)
+            sel, _ = solve(g, spec, method)
             stats[method]["recovered"] += recovery_check(planted, sel)
             stats[method]["normalized"].append(normalized_edge_weight(g, sel))
     for m in methods:

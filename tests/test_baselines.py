@@ -229,6 +229,21 @@ class TestGreedyPeel:
         np.testing.assert_array_equal(greedy_peel(graph, spec), first)
         np.testing.assert_array_equal(first, peel_reference(graph, spec))
 
+    def test_graph_arrays_are_read_only(self, rng):
+        """The memo trusts a peeled graph not to change: its CSR arrays
+        refuse writes, also after a pickle round trip, which carries no
+        cached eigenpair."""
+        graph, spec = random_graph(rng, 12, min_edges=3), random_spec(rng, 12)
+        sel = greedy_peel(graph, spec)
+        graph.eigenpair
+        copy = pickle.loads(pickle.dumps(graph))
+        assert "_spectrum" not in vars(copy)
+        for g in (graph, copy):
+            for array in (g.adj.data, g.adj.indices, g.adj.indptr):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[-1]
+        np.testing.assert_array_equal(sel, peel_reference(graph, spec))
+
     def test_memo_keeps_nothing_alive(self, rng):
         # The @example instances above live as long as the module, and so
         # do their entries: count this spec's own.

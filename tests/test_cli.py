@@ -8,7 +8,6 @@ import time
 import weakref
 
 import pytest
-from hypothesis import HealthCheck, given, settings
 
 from vacdks import (
     AttributeAssignment,
@@ -17,14 +16,11 @@ from vacdks import (
     cli,
     graph,
     induced_weight,
-    is_feasible_binary,
     load_edge_list,
     metrics,
     normalized_edge_weight,
 )
 from vacdks.cli import main
-
-from conftest import small_instances
 
 
 @pytest.fixture
@@ -217,7 +213,7 @@ class TestSolve:
         def no_run(*args):
             raise AssertionError("a solver ran")
 
-        monkeypatch.setattr(cli, "_run_method", no_run)
+        monkeypatch.setattr(cli, "solve", no_run)
         assert main(solve_args(instance_dir, "peel", "--planted",
                                str(bad))) == 2
         captured = capsys.readouterr()
@@ -389,23 +385,6 @@ class TestBound:
         assert result.get("rc") == 0, piped.err
         assert main(args + [str(plain)]) == 0
         assert json.loads(piped.out) == json.loads(capsys.readouterr().out)
-
-
-class TestRunMethod:
-    @settings(max_examples=200, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(small_instances(max_n=8).filter(lambda inst: inst[0].m > 0))
-    def test_every_method_is_feasible(self, instance):
-        g, spec = instance
-        weight = {}
-        for method in cli.METHODS:
-            sel, _ = cli._run_method(method, g, spec, FwConfig())
-            ids = sel.tolist()
-            assert ids == sorted(set(ids)), method
-            assert is_feasible_binary(spec, sel), method
-            weight[method] = induced_weight(g, sel)
-        # fw+peel starts FW at peel's set and FW and rounding never lose weight
-        assert weight["fw+peel"] >= weight["peel"] * (1.0 - 1e-9)
 
 
 class TestBench:

@@ -1,12 +1,15 @@
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
 from vacdks import (
+    METHODS,
     ConstraintError,
     ConstraintSpec,
     FwConfig,
@@ -14,12 +17,15 @@ from vacdks import (
     PlantedCliqueConfig,
     brute_force,
     generate_planted_clique,
+    greedy_peel,
     induced_weight,
     is_feasible_binary,
     lipschitz_estimate,
     lmo,
+    lrbo_rank1,
     objective_g,
     round_to_integral,
+    solve,
     solve_fw,
 )
 from vacdks import spectral
@@ -372,3 +378,50 @@ class TestAgainstFrozenLoop:
             for x0 in (None, binary, random_fractional(rng, spec),
                        0.5 * binary + 0.5 * init_uniform(spec)):
                 assert_same_solve(g, spec, x0)
+
+
+class TestSolve:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(small_instances(max_n=8).filter(lambda inst: inst[0].m > 0))
+    def test_every_method_matches_its_direct_call(self, instance):
+        g, spec = instance
+        peel = greedy_peel(g, spec)
+        direct = {
+            "fw": solve_fw(g, spec)[1:],
+            "peel": (peel, None),
+            "fw+peel": solve_fw(g, spec, x0=_indicator(peel, g.n))[1:],
+            "lrbo": (lrbo_rank1(g, spec)[0], None),
+            "oracle": (brute_force(g, spec)[0], None),
+        }
+        assert sorted(direct) == sorted(METHODS)
+        weight = {}
+        for method in METHODS:
+            sel, trace = solve(g, spec, method)
+            want_sel, want_trace = direct[method]
+            np.testing.assert_array_equal(sel, want_sel, err_msg=method)
+            assert is_feasible_binary(spec, sel), method
+            if want_trace is None:
+                assert trace is None, method
+            else:
+                assert isinstance(trace, FwTrace), method
+                assert trace.iterations == want_trace.iterations, method
+                assert trace.objective == want_trace.objective, method
+                # cfg reaches the FW methods
+                short = solve(g, spec, method, FwConfig(max_iters=1))[1]
+                assert short.iterations == 1, method
+            weight[method] = induced_weight(g, sel)
+        # fw+peel starts FW at peel's set and FW and rounding never lose weight
+        assert weight["fw+peel"] >= weight["peel"] * (1.0 - 1e-9)
+
+    def test_unknown_method_raises(self):
+        g, spec = make_instance(3, [(0, 1)], None, [0, 0, 0], 2, [0])
+        with pytest.raises(ValueError, match=re.escape(repr(METHODS))):
+            solve(g, spec, "nope")
+
+    def test_readme_library_example(self, capsys):
+        readme = (Path(__file__).resolve().parent.parent
+                  / "README.md").read_text(encoding="utf-8")
+        [block] = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+        exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out.splitlines() == ["True", "1.0"]

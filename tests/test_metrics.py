@@ -18,7 +18,7 @@ from vacdks import (
     lrbo_rank1,
     normalized_edge_weight,
     recovery_check,
-    solve_fw,
+    solve,
     upper_bound,
 )
 from vacdks import baselines, graph, metrics, spectral
@@ -642,11 +642,8 @@ class TestUpperBound:
 
 def all_methods(graph_for, spec):
     """fw, fw+peel, lrbo and the bound, each on the graph ``graph_for()``."""
-    _, fw_sel, fw_trace = solve_fw(graph_for(), spec)
-    g = graph_for()
-    x0 = np.zeros(g.n)
-    x0[greedy_peel(g, spec)] = 1.0
-    _, warm_sel, warm_trace = solve_fw(g, spec, x0=x0)
+    fw_sel, fw_trace = solve(graph_for(), spec, "fw")
+    warm_sel, warm_trace = solve(graph_for(), spec, "fw+peel")
     lrbo_sel, _, bilinear_value = lrbo_rank1(graph_for(), spec)
     return (fw_sel.tolist(), fw_trace.iterations, fw_trace.objective,
             warm_sel.tolist(), warm_trace.iterations, warm_trace.objective,
